@@ -1,7 +1,7 @@
 GO ?= go
 DATE := $(shell date +%Y%m%d)
 
-.PHONY: all build test bench bench-smoke bench-allocgate check fmt vet lint lint-fast race race-shard ckpt-fuzz flake-hunt e2e
+.PHONY: all build test bench bench-smoke bench-allocgate check fmt vet lint race race-shard ckpt-fuzz flake-hunt e2e
 
 all: build
 
@@ -21,24 +21,19 @@ bench:
 
 # One iteration of every benchmark: catches benchmarks that fail or
 # regress catastrophically without paying for a full measurement run.
-# Includes the churn allocation gate below.
+# Includes the window-churn allocation gate below.
 bench-smoke: bench-allocgate
 	$(GO) test -bench=. -benchtime=1x -count=1 ./... > /dev/null
 
-# Steady-state hot paths must be allocation-free: step-proc spawn→exit
-# churn (Proc record, events and carrier goroutine all recycle through
-# free lists) and the sharded kernel's window loop (floor scan, horizon
-# dispatch, cross-shard post merge). The gate fails on a nonzero
-# allocs/op column (warm-up allocations amortize to zero over 1000
-# iterations; the exact-zero steady-state churn property is also pinned
-# by TestStepChurnZeroAllocSteadyState).
+# The sharded kernel's steady-state window loop (floor scan, horizon
+# dispatch, cross-shard post merge) must be allocation-free. The gate
+# fails on a nonzero allocs/op column (warm-up allocations amortize to
+# zero over 1000 iterations).
 bench-allocgate:
-	@out="$$($(GO) test -bench='^(BenchmarkKernel_SpawnChurn|BenchmarkShard_WindowChurn)$$' -benchmem -benchtime=1000x -run='^$$' -count=1 ./internal/sim/)"; \
-	echo "$$out" | grep -E 'Benchmark(Kernel_SpawnChurn|Shard_WindowChurn)'; \
-	for b in BenchmarkKernel_SpawnChurn BenchmarkShard_WindowChurn; do \
-		allocs="$$(echo "$$out" | awk -v b="$$b" '$$0 ~ "^"b {print $$(NF-1)}')"; \
-		if [ "$$allocs" != "0" ]; then echo "FAIL: $$b reports $$allocs allocs/op, want 0"; exit 1; fi; \
-	done
+	@out="$$($(GO) test -bench='^BenchmarkShard_WindowChurn$$' -benchmem -benchtime=1000x -run='^$$' -count=1 ./internal/sim/)"; \
+	echo "$$out" | grep -E '^BenchmarkShard_WindowChurn'; \
+	allocs="$$(echo "$$out" | awk '$$0 ~ "^BenchmarkShard_WindowChurn" {print $$(NF-1)}')"; \
+	if [ "$$allocs" != "0" ]; then echo "FAIL: BenchmarkShard_WindowChurn reports $$allocs allocs/op, want 0"; exit 1; fi
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
@@ -49,25 +44,22 @@ vet:
 # go vet plus stampvet, the repo's own STAMP-aware analyzer engine
 # (cmd/stamplint): determinism, map-iteration order, uncharged
 # backdoors, S-round misuse, checkpoint-unsafe region element types,
-# pooled-batch escapes, shard-safety, step-continuation safety and
-# charge-flow accounting. -nocache forces a full from-source run.
+# shard-safety and charge-flow accounting.
 lint: vet
-	$(GO) run ./cmd/stamplint -nocache ./...
-
-# Same suite with the per-package result cache (keyed by export-data
-# hash): packages whose sources and dependency cones are unchanged
-# skip parsing, type-checking and analysis entirely.
-lint-fast:
 	$(GO) run ./cmd/stamplint ./...
 
+# Everything that runs host goroutines under the Go race detector: the
+# kernel's baton handoffs and teardown, the shard windows, the observer
+# sinks read while a run streams, stampserve, and the lint engine's
+# parallel type-checks and facts pass.
 race: race-shard
-	$(GO) test -race ./internal/sim/... ./internal/core/... ./internal/experiments/... ./internal/obs/... ./internal/trace/... ./internal/msgpass/... ./internal/fault/... ./internal/racedet/... ./internal/ckpt/... ./internal/serve/...
+	$(GO) test -race ./internal/sim/... ./internal/core/... ./internal/experiments/... ./internal/obs/... ./internal/trace/... ./internal/msgpass/... ./internal/fault/... ./internal/racedet/... ./internal/ckpt/... ./internal/serve/... ./internal/lint/...
 
-# Shard-focused race pass: window dispatch, cross-shard channel
-# handoffs and carrier handback under the Go race detector. The
-# *Shard* suites iterate the 1/2/4 shards × 1/2/4 workers matrix
-# internally, so this exercises every concurrent layout explicitly
-# (the full `race` run above also reaches them via the package list).
+# Shard-focused race pass: window dispatch and cross-shard channel
+# handoffs under the Go race detector. The *Shard* suites iterate the
+# 1/2/4 shards × 1/2/4 workers matrix internally, so this exercises
+# every concurrent layout explicitly (the full `race` run above also
+# reaches them via the package list).
 race-shard:
 	$(GO) test -race -count=1 -run 'Shard' ./internal/sim/ ./internal/core/ ./internal/experiments/ ./internal/racedet/ ./internal/ckpt/
 
@@ -86,18 +78,19 @@ ckpt-fuzz:
 	$(GO) test -run 'TestKillRestoreEquivalence|TestDoubleCrashRestore' -count=1 ./internal/ckpt
 
 # Execution-equivalence flake hunt: FLAKE_HUNT_N fresh randomized seeds
-# (wall-clock master seed, every run new territory) through the kill,
-# step-vs-goroutine, fast-path and shard equivalence fuzzes. Every seed
+# (wall-clock master seed, every run new territory) through the kill and
+# fast-path equivalence fuzzes (fast path against slow path) and the
+# shard equivalence fuzz. Every seed
 # is logged; reproduce a failure exactly with
 # `make flake-hunt FLAKE_HUNT_SEED=<master seed from the log>`.
 FLAKE_HUNT_N ?= 500
 flake-hunt:
 	FLAKE_HUNT_N=$(FLAKE_HUNT_N) FLAKE_HUNT_SEED=$(FLAKE_HUNT_SEED) $(GO) test -run 'TestFlakeHunt' -count=1 -v ./internal/sim/
 
-# The PR gate: everything must build, lint (go vet + cached stamplint)
+# The PR gate: everything must build, lint (go vet + stamplint)
 # and be gofmt-clean, the simulator, core, experiment harness, observability,
-# race-detector and checkpoint packages must pass under the Go race
-# detector, the checkpoint kill/restore fuzz must hold bit-for-bit, and
+# race-detector, checkpoint, serve and lint packages must pass under the
+# Go race detector, the checkpoint kill/restore fuzz must hold bit-for-bit, and
 # every benchmark must at least run.
-check: build vet lint-fast fmt race ckpt-fuzz bench-smoke
+check: build vet lint fmt race ckpt-fuzz bench-smoke
 	$(GO) test ./...

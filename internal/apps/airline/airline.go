@@ -152,23 +152,10 @@ func Reserve(ctx *core.Ctx, d *Desk, it workload.Itinerary, policy Policy) (Verd
 		errs := make([]error, 3)
 		name := fmt.Sprintf("%s/rsrv", ctx.Proc().Name())
 		attrs := core.Attrs{Dist: core.InterProc, Exec: core.TransExec, Comm: core.AsyncComm}
-		book := func(sc *core.Ctx) {
+		sub := ctx.System().NewGroup(name, attrs, 3, func(sc *core.Ctx) {
 			leg := legs[sc.Index()]
 			cmit[sc.Index()], errs[sc.Index()] = d.rsrv(sc, leg[0], leg[1])
-		}
-		var sub *core.Group
-		if core.GoroutineBodies {
-			sub = ctx.System().NewGroup(name, attrs, 3, book)
-		} else {
-			// One Step per leg: the transaction inside rsrv parks the
-			// carrier mid-activation.
-			sub = ctx.System().NewStepGroup(name, attrs, 3, func(sc *core.Ctx) core.Step {
-				return func(sc *core.Ctx) core.Step {
-					book(sc)
-					return nil
-				}
-			})
-		}
+		})
 		sub.Await(ctx)
 		committed := 0
 		for i := range cmit {
@@ -241,33 +228,11 @@ func Run(sys *core.System, wl workload.Airline, agents int, policy Policy) (RunR
 		res.LegsCommitted += int64(legs)
 	}
 
-	body := func(ctx *core.Ctx) {
+	res.Group = sys.NewGroup("airline", DefaultAttrs, agents, func(ctx *core.Ctx) {
 		for i := ctx.Index(); i < len(wl.Itineraries); i += ctx.GroupSize() {
 			record(Reserve(ctx, d, wl.Itineraries[i], policy))
 		}
-	}
-
-	// Step driver: one Step per itinerary; Reserve's nested group Await
-	// (or the strict policy's transaction) parks the carrier mid-step.
-	stepBody := func(ctx *core.Ctx) core.Step {
-		i := ctx.Index()
-		var stepFn core.Step
-		stepFn = func(c *core.Ctx) core.Step {
-			if i >= len(wl.Itineraries) {
-				return nil
-			}
-			record(Reserve(c, d, wl.Itineraries[i], policy))
-			i += c.GroupSize()
-			return stepFn
-		}
-		return stepFn
-	}
-
-	if core.GoroutineBodies {
-		res.Group = sys.NewGroup("airline", DefaultAttrs, agents, body)
-	} else {
-		res.Group = sys.NewStepGroup("airline", DefaultAttrs, agents, stepBody)
-	}
+	})
 	if err := sys.Run(); err != nil {
 		return RunResult{}, err
 	}

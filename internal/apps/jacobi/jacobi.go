@@ -15,7 +15,6 @@ import (
 	"repro/internal/ckpt"
 	"repro/internal/core"
 	"repro/internal/cost"
-	"repro/internal/msgpass"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -131,11 +130,6 @@ func Run(sys *core.System, cfg Config) (Result, error) {
 	if cfg.X0 != nil && len(cfg.X0) != n {
 		return Result{}, fmt.Errorf("jacobi: X0 length %d != n %d", len(cfg.X0), n)
 	}
-	// The member body exists in both execution modes: the goroutine
-	// closure below is the paper-shaped reference, and the step driver
-	// (member, below) is the same program with explicit continuations at
-	// its blocking points. Both issue the identical operation sequence,
-	// so their simulations are bit-identical; experiments pin this.
 	body := func(ctx *core.Ctx) {
 		i := ctx.Index()
 		xi := 0.0 // x_i(0) = 0 unless warm-started
@@ -236,17 +230,6 @@ func Run(sys *core.System, cfg Config) (Result, error) {
 		x[i] = xi
 	}
 
-	stepBody := func(ctx *core.Ctx) core.Step {
-		m := &member{
-			ctx: ctx, cfg: &cfg, ls: ls, n: n, ck: ck,
-			i: ctx.Index(), maxIters: maxIters, x: x, iters: iters,
-		}
-		m.loopTopFn = m.loopTop
-		m.afterRecvFn = m.afterRecv
-		m.afterRoundFn = m.afterRound
-		return m.start
-	}
-
 	var opts []core.GroupOption
 	if cfg.Placement != nil {
 		opts = append(opts, core.WithPlacement(cfg.Placement))
@@ -258,12 +241,7 @@ func Run(sys *core.System, cfg Config) (Result, error) {
 		}
 		opts = append(opts, ck.GroupOptions()...)
 	}
-	var g *core.Group
-	if core.GoroutineBodies {
-		g = sys.NewGroupOpts("jacobi", attrs, n, body, opts...)
-	} else {
-		g = sys.NewStepGroupOpts("jacobi", attrs, n, stepBody, opts...)
-	}
+	g := sys.NewGroupOpts("jacobi", attrs, n, body, opts...)
 	if ck != nil {
 		if err := ck.RestoreGroup(g); err != nil {
 			return Result{}, err
@@ -273,143 +251,6 @@ func Run(sys *core.System, cfg Config) (Result, error) {
 		return Result{}, err
 	}
 	return Result{X: x, Iters: iters[0], Group: g}, nil
-}
-
-// member is one process's step-machine driver: the goroutine body's
-// stack locals hoisted into a struct, with one Step per straight-line
-// segment between blocking points. Boundaries fall exactly where the
-// goroutine body blocks — the seed barrier, the S-round receive, and
-// the round's implicit barrier — so the simulation is bit-identical.
-type member struct {
-	ctx      *core.Ctx
-	cfg      *Config
-	ls       workload.LinearSystem
-	ck       *ckpt.Controller
-	n, i     int
-	maxIters int
-	x        []float64 // shared result vector
-	iters    []int     // shared per-process S-unit counts
-
-	xi           float64
-	xv           []float64
-	deltas       []float64
-	prevOwnDelta float64
-	t            int
-	terminated   bool
-
-	// Continuations pre-bound once so the steady-state loop allocates
-	// no method-value closures.
-	loopTopFn    core.Step
-	afterRoundFn core.Step
-	afterRecvFn  func([]msgpass.Message) core.Step
-}
-
-// start initializes the iterate and either re-enters the loop at the
-// checkpointed position or seeds peers with x_i(0) and barriers.
-func (m *member) start(c *core.Ctx) core.Step {
-	m.xi = 0 // x_i(0) = 0 unless warm-started
-	if m.cfg.X0 != nil {
-		m.xi = m.cfg.X0[m.i]
-	}
-	m.xv = make([]float64, m.n) // local view of x(t)
-	m.deltas = make([]float64, m.n)
-	for j := range m.deltas {
-		m.deltas[j] = math.Inf(1)
-	}
-	m.prevOwnDelta = math.Inf(1)
-	if m.ck != nil && m.ck.Resuming() {
-		// Re-enter the loop at the checkpointed position; the seed
-		// broadcast and barrier happened before the checkpoint.
-		var st State
-		if err := m.ck.DecodeMember(m.i, &st); err != nil {
-			panic(fmt.Sprintf("jacobi: restore member %d: %v", m.i, err))
-		}
-		m.t, m.xi, m.prevOwnDelta = st.It, st.Xi, st.PrevDelta
-		m.iters[m.i] = st.It
-		return m.loopTopFn
-	}
-	// Seed round: announce x_i(0) so the first S-round has inputs.
-	c.BroadcastAll(Update{From: m.i, Val: m.xi, Delta: math.Inf(1)})
-	return c.StepBarrier(m.loopTopFn)
-}
-
-// loopTop is the while-loop head: terminate, or commit a checkpoint,
-// open the S-unit and S-round, and park for the peers' updates.
-func (m *member) loopTop(c *core.Ctx) core.Step {
-	if m.terminated {
-		m.x[m.i] = m.xi
-		return nil
-	}
-	if m.ck != nil {
-		m.ck.Commit(c, m.t, CkptWords, State{It: m.t, Xi: m.xi, PrevDelta: m.prevOwnDelta})
-	}
-	if m.cfg.Adapt != nil {
-		// Mirror of the goroutine body: state rides the migration image
-		// and the loop continues from the implanted values.
-		st := State{It: m.t, Xi: m.xi, PrevDelta: m.prevOwnDelta}
-		m.cfg.Adapt.Sync(c, m.t, &st)
-		m.xi, m.prevOwnDelta = st.Xi, st.PrevDelta
-	}
-	c.StepUnitBegin()
-	c.IntOps(1) // while-condition check (part of T_c)
-	c.StepRoundBegin()
-	return c.StepRecvN(m.n-1, m.afterRecvFn)
-}
-
-// afterRecv is the round's compute + send segment, entered with all
-// n−1 peer updates in hand. ms is StepRecvN's pooled buffer; every
-// payload is consumed before returning, nothing retained.
-func (m *member) afterRecv(ms []msgpass.Message) core.Step {
-	c := m.ctx
-	i, n := m.i, m.n
-	for _, msg := range ms {
-		u := msg.Payload.(Update)
-		m.xv[u.From] = u.Val
-		m.deltas[u.From] = u.Delta
-	}
-	// x_i(t+1) = -1/a_ii (Σ_{j≠i} a_ij x_j(t) − b_i):
-	// n−1 mults, n−2 adds, 1 sub, 1 mult = 2n−1 flops,
-	// plus the assignment (1 int op) → c = 2n.
-	var s float64
-	for j := 0; j < n; j++ {
-		if j != i {
-			s += m.ls.A[i][j] * m.xv[j]
-		}
-	}
-	next := -(s - m.ls.B[i]) / m.ls.A[i][i]
-	c.FpOps(int64(2*n - 1))
-	c.IntOps(1)
-	d := math.Abs(next - m.xi)
-	m.xi = next
-	m.deltas[i] = m.prevOwnDelta
-	m.prevOwnDelta = d
-	// send x_i(t+1) to all other processes; the S-round ends with the
-	// implicit barrier (inside StepRoundEnd).
-	c.BroadcastAll(Update{From: i, Val: m.xi, Delta: d})
-	return c.StepRoundEnd(m.afterRoundFn)
-}
-
-// afterRound is the rest of T_c: termination test + flag set, then the
-// unit seal and the next loop iteration.
-func (m *member) afterRound(c *core.Ctx) core.Step {
-	c.IntOps(1)
-	m.iters[m.i]++
-	switch {
-	case m.cfg.Iters > 0:
-		m.terminated = m.iters[m.i] >= m.cfg.Iters
-	default:
-		conv := true
-		for _, d := range m.deltas {
-			if d >= m.cfg.Tol {
-				conv = false
-				break
-			}
-		}
-		m.terminated = conv || m.iters[m.i] >= m.maxIters
-	}
-	c.StepUnitEnd()
-	m.t++
-	return m.loopTopFn
 }
 
 // Sequential runs the classic sequential Jacobi iteration for iters

@@ -58,25 +58,7 @@ func MatMul(sys *core.System, a, b [][]float64, p int) (MatMulResult, error) {
 		ctx.FpOps(int64(rows * n * 2 * n))
 	}
 
-	body := func(ctx *core.Ctx) { ctx.SRound(func() { round(ctx) }) }
-
-	// The memory operations park the step's carrier mid-round, so the
-	// whole multiply is one Step bracketed by the round boundary calls
-	// (async_comm: StepRoundEnd seals without a barrier).
-	stepBody := func(ctx *core.Ctx) core.Step {
-		return func(c *core.Ctx) core.Step {
-			c.StepRoundBegin()
-			round(c)
-			return c.StepRoundEnd(nil)
-		}
-	}
-
-	var g *core.Group
-	if core.GoroutineBodies {
-		g = sys.NewGroup("matmul", MatMulAttrs, p, body)
-	} else {
-		g = sys.NewStepGroup("matmul", MatMulAttrs, p, stepBody)
-	}
+	g := sys.NewGroup("matmul", MatMulAttrs, p, func(ctx *core.Ctx) { ctx.SRound(func() { round(ctx) }) })
 	if err := sys.Run(); err != nil {
 		return MatMulResult{}, err
 	}

@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/cost"
-	"repro/internal/msgpass"
 	"repro/internal/sim"
 )
 
@@ -76,93 +75,11 @@ func Reduce(sys *core.System, vals []float64, p int) (ReduceResult, error) {
 		partial[i] = s
 	}
 
-	stepBody := func(ctx *core.Ctx) core.Step {
-		m := &reduceMember{
-			ctx: ctx, vals: vals, partial: partial,
-			i: ctx.Index(), block: block, levels: levels,
-		}
-		m.levelFn = m.level
-		m.afterRecvFn = m.afterRecv
-		m.afterRoundFn = m.afterRound
-		return m.start
-	}
-
-	var g *core.Group
-	if core.GoroutineBodies {
-		g = sys.NewGroup("reduce", ReduceAttrs, p, body)
-	} else {
-		g = sys.NewStepGroup("reduce", ReduceAttrs, p, stepBody)
-	}
+	g := sys.NewGroup("reduce", ReduceAttrs, p, body)
 	if err := sys.Run(); err != nil {
 		return ReduceResult{}, err
 	}
 	return ReduceResult{Sum: partial[0], Rounds: levels, Group: g}, nil
-}
-
-// reduceMember is one process's step-machine driver: the goroutine
-// body's stack locals hoisted into a struct, one Step per straight-line
-// segment between parks (see jacobi for the pattern).
-type reduceMember struct {
-	ctx     *core.Ctx
-	vals    []float64
-	partial []float64
-	i       int
-	block   int
-	levels  int
-	k       int
-	s       float64
-	active  bool
-
-	levelFn      core.Step
-	afterRecvFn  func(ms []msgpass.Message) core.Step
-	afterRoundFn core.Step
-}
-
-// start is the local phase: sum the member's own block.
-func (m *reduceMember) start(c *core.Ctx) core.Step {
-	m.s = 0
-	for _, v := range m.vals[m.i*m.block : (m.i+1)*m.block] {
-		m.s += v
-	}
-	if m.block > 1 {
-		c.FpOps(int64(m.block - 1))
-	}
-	m.active = true
-	return m.levelFn
-}
-
-// level opens tree level k's S-round: receivers park for their
-// partner's partial sum, senders send and go passive, passive members
-// just take part in the round barrier.
-func (m *reduceMember) level(c *core.Ctx) core.Step {
-	if m.k >= m.levels {
-		m.partial[m.i] = m.s
-		return nil
-	}
-	c.StepRoundBegin()
-	if !m.active {
-		return c.StepRoundEnd(m.afterRoundFn)
-	}
-	stride := 1 << m.k
-	if m.i%(2*stride) == 0 {
-		return c.StepRecvN(1, m.afterRecvFn)
-	}
-	c.SendTo(m.i-stride, m.s)
-	m.active = false
-	return c.StepRoundEnd(m.afterRoundFn)
-}
-
-func (m *reduceMember) afterRecv(ms []msgpass.Message) core.Step {
-	c := m.ctx
-	c.TraceRecvFrom(ms[0])
-	m.s += ms[0].Payload.(float64)
-	c.FpOps(1)
-	return c.StepRoundEnd(m.afterRoundFn)
-}
-
-func (m *reduceMember) afterRound(c *core.Ctx) core.Step {
-	m.k++
-	return m.levelFn
 }
 
 // SequentialSum is the baseline.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/msgpass"
 )
 
 // ScanAttrs: the Hillis–Steele parallel prefix is bulk-synchronous —
@@ -53,69 +52,11 @@ func Scan(sys *core.System, vals []float64) (ScanResult, error) {
 		out[i] = s
 	}
 
-	stepBody := func(ctx *core.Ctx) core.Step {
-		m := &scanMember{ctx: ctx, out: out, i: ctx.Index(), n: n, levels: levels, s: vals[ctx.Index()]}
-		m.levelFn = m.level
-		m.afterRecvFn = m.afterRecv
-		m.afterRoundFn = m.afterRound
-		return m.levelFn
-	}
-
-	var g *core.Group
-	if core.GoroutineBodies {
-		g = sys.NewGroup("scan", ScanAttrs, n, body)
-	} else {
-		g = sys.NewStepGroup("scan", ScanAttrs, n, stepBody)
-	}
+	g := sys.NewGroup("scan", ScanAttrs, n, body)
 	if err := sys.Run(); err != nil {
 		return ScanResult{}, err
 	}
 	return ScanResult{Prefix: out, Rounds: levels, Group: g}, nil
-}
-
-// scanMember is one process's step-machine driver for the doubling
-// exchange: send right, then park for the left partner's value.
-type scanMember struct {
-	ctx    *core.Ctx
-	out    []float64
-	i      int
-	n      int
-	levels int
-	k      int
-	s      float64
-
-	levelFn      core.Step
-	afterRecvFn  func(ms []msgpass.Message) core.Step
-	afterRoundFn core.Step
-}
-
-func (m *scanMember) level(c *core.Ctx) core.Step {
-	if m.k >= m.levels {
-		m.out[m.i] = m.s
-		return nil
-	}
-	c.StepRoundBegin()
-	stride := 1 << m.k
-	if m.i+stride < m.n {
-		c.SendTo(m.i+stride, m.s)
-	}
-	if m.i-stride >= 0 {
-		return c.StepRecvN(1, m.afterRecvFn)
-	}
-	return c.StepRoundEnd(m.afterRoundFn)
-}
-
-func (m *scanMember) afterRecv(ms []msgpass.Message) core.Step {
-	c := m.ctx
-	c.TraceRecvFrom(ms[0])
-	m.s += ms[0].Payload.(float64)
-	c.FpOps(1)
-	return c.StepRoundEnd(m.afterRoundFn)
-}
-
-func (m *scanMember) afterRound(c *core.Ctx) core.Step {
-	m.k++
-	return m.levelFn
 }
 
 // SequentialScan is the baseline inclusive prefix sum.

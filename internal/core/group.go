@@ -89,50 +89,6 @@ func (sys *System) NewGroup(name string, attrs Attrs, n int, body func(ctx *Ctx)
 
 // NewGroupOpts is NewGroup with options.
 func (sys *System) NewGroupOpts(name string, attrs Attrs, n int, body func(ctx *Ctx), opts ...GroupOption) *Group {
-	g, order := sys.newGroupShell(name, attrs, n, opts)
-	for j := 0; j < n; j++ {
-		i := j
-		if order != nil {
-			i = order[j]
-		}
-		ctx := g.ctxs[i]
-		pname := fmt.Sprintf("%s/%d", name, i)
-		ctx.p = g.k.Spawn(pname, func(p *sim.Proc) {
-			ctx.start = p.Now()
-			if s := ctx.restoreSnap; s != nil {
-				ctx.restoreSnap = nil
-				ctx.applyRestore(s)
-			}
-			if tr := sys.Obs.Tracer(); tr.Enabled() {
-				ctx.procSpan = tr.Begin(ctx.start, pname, "proc", pname, 0)
-			}
-			defer func() {
-				ctx.flush() // body may end with batched compute pending
-				ctx.end = p.Now()
-				sys.Obs.Tracer().End(ctx.procSpan, ctx.end)
-				if p.Killed() {
-					// A kill interrupts instrumented sections mid-flight:
-					// charges may exceed the elapsed total, so seal leniently.
-					ctx.prof.FinishInterrupted(ctx.end - ctx.start)
-				} else {
-					ctx.prof.Finish(ctx.end - ctx.start)
-				}
-				sys.M.Release(ctx.thread)
-			}()
-			body(ctx)
-		})
-		ctx.p.Ctx = ctx
-	}
-	sys.groups = append(sys.groups, g)
-	return g
-}
-
-// newGroupShell validates options, builds the group and its member
-// contexts, and returns the spawn order (nil = rank order). The spawn
-// loop itself differs by execution mode — goroutine bodies in
-// NewGroupOpts, step drivers in NewStepGroupOpts — and runs in the
-// caller.
-func (sys *System) newGroupShell(name string, attrs Attrs, n int, opts []GroupOption) (*Group, []int) {
 	if n < 1 {
 		panic("core: group needs at least one process")
 	}
@@ -204,7 +160,42 @@ func (sys *System) newGroupShell(name string, attrs Attrs, n int, opts []GroupOp
 		sys.M.Bind(pl[i])
 		g.ctxs[i] = ctx
 	}
-	return g, order
+	for j := 0; j < n; j++ {
+		i := j
+		if order != nil {
+			i = order[j]
+		}
+		ctx := g.ctxs[i]
+		pname := fmt.Sprintf("%s/%d", name, i)
+		ctx.p = g.k.Spawn(pname, func(p *sim.Proc) {
+			ctx.start = p.Now()
+			if s := ctx.restoreSnap; s != nil {
+				ctx.restoreSnap = nil
+				ctx.applyRestore(s)
+			}
+			if tr := sys.Obs.Tracer(); tr.Enabled() {
+				ctx.procSpan = tr.Begin(ctx.start, pname, "proc", pname, 0)
+			}
+			defer func() {
+				ctx.flush() // body may end with batched compute pending
+				ctx.end = p.Now()
+				sys.Obs.Tracer().End(ctx.procSpan, ctx.end)
+				if p.Unwinding() {
+					// A kill or an error teardown interrupts instrumented
+					// sections mid-flight: charges may exceed the elapsed
+					// total, so seal leniently.
+					ctx.prof.FinishInterrupted(ctx.end - ctx.start)
+				} else {
+					ctx.prof.Finish(ctx.end - ctx.start)
+				}
+				sys.M.Release(ctx.thread)
+			}()
+			body(ctx)
+		})
+		ctx.p.Ctx = ctx
+	}
+	sys.groups = append(sys.groups, g)
+	return g
 }
 
 // Name returns the group name.

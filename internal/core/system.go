@@ -19,7 +19,7 @@ import (
 
 // DisableSharding forces every System onto a single sequential kernel
 // even when sharding is requested — the escape hatch mirroring
-// sim.Kernel.DisableFastPath and GoroutineBodies: equivalence tests
+// sim.Kernel.DisableFastPath: equivalence tests
 // run the same workload both ways and compare bit-for-bit, and it
 // isolates the sharded scheduler while debugging.
 var DisableSharding bool

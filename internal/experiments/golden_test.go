@@ -3,7 +3,9 @@ package experiments
 import (
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
+	"time"
 )
 
 // goldenPath returns the checked-in reference output for an experiment.
@@ -65,5 +67,60 @@ func TestGoldenOutputsParallel(t *testing.T) {
 				t.Errorf("workers=%d: parallel run of %s diverged from golden", workers, res.ID)
 			}
 		}
+	}
+}
+
+// TestGoldenOutputsStepWorkers steps the parallel harness through the
+// worker counts TestGoldenOutputsParallel skips — a single worker and
+// an intermediate pool — and requires every golden at each.
+func TestGoldenOutputsStepWorkers(t *testing.T) {
+	ids := IDs()
+	for _, workers := range []int{1, 4} {
+		results := RunAllParallel(workers)
+		if len(results) != len(ids) {
+			t.Fatalf("workers=%d: got %d results, want %d", workers, len(results), len(ids))
+		}
+		for _, res := range results {
+			want, err := os.ReadFile(goldenPath(res.ID))
+			if err != nil {
+				t.Fatalf("missing golden for %s: %v", res.ID, err)
+			}
+			if got := res.String(); got != string(want) {
+				t.Fatalf("workers=%d: %s diverged from golden", workers, res.ID)
+			}
+		}
+	}
+}
+
+// TestGoldenOutputsGoroutineMode reruns every experiment against its
+// golden and requires each to leave no goroutine behind. Every process
+// body is a host goroutine, so a process the kernel failed to retire —
+// after a clean finish, a kill, or an error teardown such as the
+// recovery and faults crash runs — would outlive its experiment here.
+func TestGoldenOutputsGoroutineMode(t *testing.T) {
+	for _, id := range IDs() {
+		id := id
+		t.Run(id, func(t *testing.T) {
+			want, err := os.ReadFile(goldenPath(id))
+			if err != nil {
+				t.Fatalf("missing golden for %s: %v", id, err)
+			}
+			base := runtime.NumGoroutine()
+			res, err := Run(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := res.String(); got != string(want) {
+				t.Fatalf("%s diverged from golden\n--- got ---\n%s\n--- want ---\n%s", id, got, want)
+			}
+			// Exited goroutines take a moment to leave the count.
+			deadline := time.Now().Add(2 * time.Second)
+			for runtime.NumGoroutine() > base {
+				if time.Now().After(deadline) {
+					t.Fatalf("%s left %d goroutines running, want <= %d", id, runtime.NumGoroutine(), base)
+				}
+				time.Sleep(time.Millisecond)
+			}
+		})
 	}
 }

@@ -8,17 +8,13 @@ import (
 
 // groupCtors are the core.System spawn entry points whose body argument
 // (index 3) becomes simulated process code.
-var groupCtors = map[string]bool{
-	"NewGroup": true, "NewGroupOpts": true,
-	"NewStepGroup": true, "NewStepGroupOpts": true,
-}
+var groupCtors = map[string]bool{"NewGroup": true, "NewGroupOpts": true}
 
 // groupBody is one group-body callback found at a spawn call site.
 type groupBody struct {
 	call    *ast.CallExpr
 	lit     *ast.FuncLit // inline or ident-bound literal; nil when the body is a named function
 	decl    *ast.FuncDecl
-	step    bool // spawned via NewStepGroup*
 	sharded bool // spawn call passes core.ShardByPlacement()
 }
 
@@ -109,7 +105,7 @@ func groupBodiesIn(p *Pkg, f *ast.File) []groupBody {
 		if fn == nil || !groupCtors[fn.Name()] || fn.Signature().Recv() == nil || len(call.Args) < 4 {
 			return true
 		}
-		b := groupBody{call: call, step: fn.Name() == "NewStepGroup" || fn.Name() == "NewStepGroupOpts"}
+		b := groupBody{call: call}
 		switch arg := ast.Unparen(call.Args[3]).(type) {
 		case *ast.FuncLit:
 			b.lit = arg
@@ -226,20 +222,14 @@ func freeVars(p *Pkg, lit *ast.FuncLit) map[*types.Var]token.Pos {
 }
 
 // loopsIn collects every for/range statement span in f.
-type loopSpan struct {
-	node       ast.Node
-	start, end token.Pos
-	body       *ast.BlockStmt
-}
+type loopSpan struct{ start, end token.Pos }
 
 func loopsIn(f *ast.File) []loopSpan {
 	var out []loopSpan
 	ast.Inspect(f, func(n ast.Node) bool {
-		switch l := n.(type) {
-		case *ast.ForStmt:
-			out = append(out, loopSpan{l, l.Pos(), l.End(), l.Body})
-		case *ast.RangeStmt:
-			out = append(out, loopSpan{l, l.Pos(), l.End(), l.Body})
+		switch n.(type) {
+		case *ast.ForStmt, *ast.RangeStmt:
+			out = append(out, loopSpan{n.Pos(), n.End()})
 		}
 		return true
 	})

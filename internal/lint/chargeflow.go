@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -15,16 +16,21 @@ import (
 // anywhere in the segment does real work the model never sees.
 //
 // A charged context is a function that runs inside virtual time: a
-// group-body literal, any function taking a *core.Ctx, or a step
-// segment (returns core.Step). The check walks each such segment: if
-// it contains a loop performing data work (arithmetic, indexed
-// access, or a call into a region-touching module function) and the
-// segment issues no charge on any path — no charged Ctx op, no
-// charged substrate access, and no call to a module function whose
-// summary says it charges — the outermost working loop is flagged.
+// group-body literal or any function taking a *core.Ctx. The check
+// walks each such segment: if it contains a loop performing data work
+// (arithmetic, indexed access, or a call into a region-touching module
+// function) and the segment issues no charge on any path — no charged
+// Ctx op, no charged substrate access, and no call to a module
+// function whose summary says it charges — the outermost working loop
+// is flagged.
 // A charge issued after the loop in the same segment accounts for it
 // (the common "loop, then FpOps(n)" idiom), so the segment, not the
 // loop, is the unit of account.
+//
+// The same accounting breaks when a *core.Ctx is stored in
+// package-level state: the Ctx outlives the body it was handed to, and
+// anything reading it later (another member, a host goroutine,
+// post-run code) charges outside the owning process's virtual time.
 func Chargeflow() *Analyzer {
 	return &Analyzer{
 		Name: "chargeflow",
@@ -37,12 +43,13 @@ func Chargeflow() *Analyzer {
 			}
 			var out []Finding
 			for _, f := range p.Files {
+				out = append(out, ctxRetention(p, f)...)
 				bodies := map[ast.Node]bool{}
 				for _, b := range groupBodiesIn(p, f) {
 					bodies[b.bodyNode()] = true
 				}
-				// Named declarations: charged when Ctx-taking or
-				// Step-returning, or when they are a spawn body.
+				// Named declarations: charged when Ctx-taking, or when
+				// they are a spawn body.
 				for _, d := range f.Decls {
 					fd, ok := d.(*ast.FuncDecl)
 					if !ok || fd.Body == nil {
@@ -56,7 +63,7 @@ func Chargeflow() *Analyzer {
 						out = append(out, unchargedLoops(p, fd.Body)...)
 					}
 				}
-				// Literals: group bodies and step/Ctx-shaped closures.
+				// Literals: group bodies and Ctx-taking closures.
 				ast.Inspect(f, func(n ast.Node) bool {
 					lit, ok := n.(*ast.FuncLit)
 					if !ok {
@@ -76,7 +83,7 @@ func Chargeflow() *Analyzer {
 }
 
 // isChargedContext reports whether sig marks a function as running
-// inside virtual time: it takes a *core.Ctx or returns a core.Step.
+// inside virtual time: it takes a *core.Ctx.
 func isChargedContext(sig *types.Signature) bool {
 	params := sig.Params()
 	for i := 0; i < params.Len(); i++ {
@@ -84,7 +91,41 @@ func isChargedContext(sig *types.Signature) bool {
 			return true
 		}
 	}
-	return sig.Results().Len() == 1 && isStepType(sig.Results().At(0).Type())
+	return false
+}
+
+// ctxRetention flags a *core.Ctx value assigned to a package-level
+// variable, or stored through one (global map/slice element, field of
+// a global).
+func ctxRetention(p *Pkg, f *ast.File) []Finding {
+	var out []Finding
+	ast.Inspect(f, func(n ast.Node) bool {
+		as, ok := n.(*ast.AssignStmt)
+		if !ok || len(as.Lhs) != len(as.Rhs) {
+			return true
+		}
+		for i, rhs := range as.Rhs {
+			if t := p.Info.TypeOf(rhs); t == nil || !isCtxPtr(t) {
+				continue
+			}
+			id := baseIdent(as.Lhs[i])
+			if id == nil {
+				continue
+			}
+			v, ok := p.Info.Uses[id].(*types.Var)
+			if !ok || v.IsField() || v.Pkg() == nil || v.Parent() != v.Pkg().Scope() {
+				continue
+			}
+			out = append(out, Finding{
+				Pos:   p.Fset.Position(rhs.Pos()),
+				Check: "chargeflow",
+				Message: fmt.Sprintf("*core.Ctx stored in package-level %q outlives its process body; code reading it later charges outside the owning process's virtual time — keep the Ctx local to the body it was handed to",
+					v.Name()),
+			})
+		}
+		return true
+	})
+	return out
 }
 
 // unchargedLoops walks one segment body. If no charge is issued
@@ -121,8 +162,8 @@ func unchargedLoops(p *Pkg, body *ast.BlockStmt) []Finding {
 				return false
 			case *ast.FuncLit:
 				// Nested closures are their own segments (handled by
-				// the top-level literal walk when Ctx/Step-shaped;
-				// plain closures inherit this segment's census).
+				// the top-level literal walk when Ctx-taking; plain
+				// closures inherit this segment's census).
 				return false
 			}
 			return true
@@ -142,7 +183,7 @@ func segmentCharges(p *Pkg, body *ast.BlockStmt) bool {
 			return false
 		}
 		if lit, ok := n.(*ast.FuncLit); ok {
-			// A nested Ctx/Step-shaped literal is its own segment; its
+			// A nested Ctx-taking literal is its own segment; its
 			// charges do not account for this one's loops. Plain
 			// closures (e.g. an SRound callback) do count.
 			if sig, _ := p.Info.TypeOf(lit).(*types.Signature); sig != nil && isChargedContext(sig) {

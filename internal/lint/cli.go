@@ -4,8 +4,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 )
 
 // Exit codes of the stamplint driver. Distinct codes let CI and
@@ -15,15 +13,6 @@ const (
 	ExitFindings = 1 // loaded, analyzed, at least one finding
 	ExitError    = 2 // load/usage failure; nothing was analyzed
 )
-
-// DefaultCacheDir is where the per-package result cache lives when
-// caching is enabled and no explicit directory is given.
-func DefaultCacheDir() string {
-	if base, err := os.UserCacheDir(); err == nil {
-		return filepath.Join(base, "stamplint")
-	}
-	return filepath.Join(os.TempDir(), "stamplint-cache")
-}
 
 // CLI is the stamplint driver: it parses args (flags plus optional
 // positional package patterns, defaulting to ./...), loads the
@@ -35,8 +24,6 @@ func CLI(dir string, args []string, stdout, stderr io.Writer) int {
 	verbose := fs.Bool("v", false, "list the checks and every analyzed package")
 	format := fs.String("format", "text", "output format: text, json, or sarif")
 	diffRef := fs.String("diff", "", "only report findings on lines changed since this git ref")
-	nocache := fs.Bool("nocache", false, "disable the per-package result cache")
-	cacheDir := fs.String("cache-dir", "", "result cache directory (default: user cache dir)")
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: stamplint [flags] [package patterns]\n\n")
 		fmt.Fprintf(stderr, "Analyzes the module rooted in the working directory (patterns default to ./...).\n")
@@ -66,15 +53,7 @@ func CLI(dir string, args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	opts := LoadOptions{}
-	if !*nocache {
-		opts.CacheDir = *cacheDir
-		if opts.CacheDir == "" {
-			opts.CacheDir = DefaultCacheDir()
-		}
-	}
-
-	prog, err := LoadProgram(dir, patterns, opts)
+	prog, err := LoadProgram(dir, patterns)
 	if err != nil {
 		fmt.Fprintf(stderr, "stamplint: %v\n", err)
 		return ExitError
@@ -84,9 +63,6 @@ func CLI(dir string, args []string, stdout, stderr io.Writer) int {
 			state := "deps-only"
 			if p.Target {
 				state = "analyzed"
-			}
-			if p.cached != nil {
-				state += " (cached)"
 			}
 			fmt.Fprintf(stderr, "stamplint: %s: %s\n", p.Path, state)
 		}

@@ -64,12 +64,12 @@ func TestCLIExitCodes(t *testing.T) {
 	dir := writeModule(t, cliFixture)
 
 	// Findings anywhere in the default ./... pattern: exit 1.
-	if code, out, _ := runCLI(t, dir, "-nocache"); code != ExitFindings {
+	if code, out, _ := runCLI(t, dir); code != ExitFindings {
 		t.Errorf("dirty module: exit %d, want %d (stdout: %s)", code, ExitFindings, out)
 	}
 
 	// Positional patterns restrict the run: the clean package exits 0.
-	code, out, _ := runCLI(t, dir, "-nocache", "./tools/...")
+	code, out, _ := runCLI(t, dir, "./tools/...")
 	if code != ExitClean {
 		t.Errorf("clean package: exit %d, want %d (stdout: %s)", code, ExitClean, out)
 	}
@@ -78,7 +78,7 @@ func TestCLIExitCodes(t *testing.T) {
 	}
 
 	// And the dirty package alone exits 1 with both findings.
-	code, out, _ = runCLI(t, dir, "-nocache", "./internal/sim/...")
+	code, out, _ = runCLI(t, dir, "./internal/sim/...")
 	if code != ExitFindings {
 		t.Errorf("dirty package: exit %d, want %d", code, ExitFindings)
 	}
@@ -89,7 +89,7 @@ func TestCLIExitCodes(t *testing.T) {
 	}
 
 	// A pattern that matches nothing: load error, exit 2.
-	if code, _, errOut := runCLI(t, dir, "-nocache", "./no/such/dir/..."); code != ExitError {
+	if code, _, errOut := runCLI(t, dir, "./no/such/dir/..."); code != ExitError {
 		t.Errorf("bad pattern: exit %d, want %d (stderr: %s)", code, ExitError, errOut)
 	}
 
@@ -101,7 +101,7 @@ func TestCLIExitCodes(t *testing.T) {
 
 func TestCLIJSONGolden(t *testing.T) {
 	dir := writeModule(t, cliFixture)
-	code, out, _ := runCLI(t, dir, "-nocache", "-format", "json", "./internal/sim/...")
+	code, out, _ := runCLI(t, dir, "-format", "json", "./internal/sim/...")
 	if code != ExitFindings {
 		t.Fatalf("exit %d, want %d", code, ExitFindings)
 	}
@@ -124,7 +124,7 @@ func TestCLIJSONGolden(t *testing.T) {
 
 func TestCLISARIFGolden(t *testing.T) {
 	dir := writeModule(t, cliFixture)
-	code, out, _ := runCLI(t, dir, "-nocache", "-format", "sarif", "./internal/sim/...")
+	code, out, _ := runCLI(t, dir, "-format", "sarif", "./internal/sim/...")
 	if code != ExitFindings {
 		t.Fatalf("exit %d, want %d", code, ExitFindings)
 	}
@@ -236,13 +236,13 @@ func New(m map[int]int) int {
 	git(t, dir, "commit", "-q", "-m", "add map walk")
 
 	// Without -diff: both findings.
-	code, out, _ := runCLI(t, dir, "-nocache")
+	code, out, _ := runCLI(t, dir)
 	if code != ExitFindings || !strings.Contains(out, "[determinism]") || !strings.Contains(out, "[maprange]") {
 		t.Fatalf("full run: exit %d, output:\n%s", code, out)
 	}
 
 	// With -diff HEAD~1: only the maprange finding on the added lines.
-	code, out, _ = runCLI(t, dir, "-nocache", "-diff", "HEAD~1")
+	code, out, _ = runCLI(t, dir, "-diff", "HEAD~1")
 	if code != ExitFindings {
 		t.Fatalf("diff run: exit %d, want %d (output: %s)", code, ExitFindings, out)
 	}
@@ -254,12 +254,12 @@ func New(m map[int]int) int {
 	}
 
 	// Against HEAD (no changes): clean exit.
-	if code, out, _ := runCLI(t, dir, "-nocache", "-diff", "HEAD"); code != ExitClean {
+	if code, out, _ := runCLI(t, dir, "-diff", "HEAD"); code != ExitClean {
 		t.Errorf("diff vs HEAD: exit %d, want %d (output: %s)", code, ExitClean, out)
 	}
 
 	// A bogus ref is a load-level error.
-	if code, _, _ := runCLI(t, dir, "-nocache", "-diff", "no-such-ref"); code != ExitError {
+	if code, _, _ := runCLI(t, dir, "-diff", "no-such-ref"); code != ExitError {
 		t.Errorf("bogus ref: exit %d, want %d", code, ExitError)
 	}
 }
@@ -269,7 +269,7 @@ func New(m map[int]int) int {
 // the result carries it once.
 func TestAnalyzeDeduplicates(t *testing.T) {
 	dir := writeModule(t, cliFixture)
-	prog, err := LoadProgram(dir, []string{"./internal/sim/..."}, LoadOptions{})
+	prog, err := LoadProgram(dir, []string{"./internal/sim/..."})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,59 +295,5 @@ func TestAnalyzeDeduplicates(t *testing.T) {
 	}
 	if n != 1 {
 		t.Errorf("identical findings from two analyzers reported %d times, want 1", n)
-	}
-}
-
-// TestResultCache pins the export-hash cache: a second load with the
-// same cache directory skips analysis but reproduces the findings.
-func TestResultCache(t *testing.T) {
-	dir := writeModule(t, cliFixture)
-	cacheDir := filepath.Join(t.TempDir(), "cache")
-	opts := LoadOptions{CacheDir: cacheDir}
-
-	prog1, err := LoadProgram(dir, []string{"./..."}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res1 := prog1.Analyze(Analyzers())
-
-	prog2, err := LoadProgram(dir, []string{"./..."}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range prog2.Pkgs {
-		if p.cached == nil {
-			t.Errorf("package %s not served from cache on second load", p.Path)
-		}
-	}
-	res2 := prog2.Analyze(Analyzers())
-
-	if len(res1.Findings) == 0 {
-		t.Fatal("fixture produced no findings; cache test is vacuous")
-	}
-	if len(res1.Findings) != len(res2.Findings) {
-		t.Fatalf("cached run: %d findings, fresh run: %d", len(res2.Findings), len(res1.Findings))
-	}
-	for i := range res1.Findings {
-		if res1.Findings[i] != res2.Findings[i] {
-			t.Errorf("finding %d differs: fresh %v, cached %v", i, res1.Findings[i], res2.Findings[i])
-		}
-	}
-
-	// Changing a source file must invalidate the affected package.
-	src := strings.Replace(cliFixture["internal/sim/sim.go"], "s += v", "s += v + 1", 1)
-	if err := os.WriteFile(filepath.Join(dir, "internal/sim/sim.go"), []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	prog3, err := LoadProgram(dir, []string{"./..."}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	simPkg := prog3.byPath["repro/internal/sim"]
-	if simPkg == nil {
-		t.Fatal("sim package missing from third load")
-	}
-	if simPkg.cached != nil {
-		t.Error("edited package still served from cache (stale key)")
 	}
 }

@@ -17,7 +17,7 @@ type Fact uint8
 
 const (
 	// FactMayBlock: the function may park its process on virtual time
-	// (Recv, Barrier, Atomically, a step boundary, ...).
+	// (Recv, Barrier, Atomically, ...).
 	FactMayBlock Fact = 1 << iota
 	// FactSpawnsGoroutine: a raw `go` statement — host concurrency
 	// outside the kernel's virtual-time scheduler.
@@ -106,11 +106,10 @@ var observerPkgs = map[string]bool{
 const mechanismMask = FactMayBlock | FactTouchesRegion | FactIssuesCharge
 
 // blockingCtxMethods are the core.Ctx operations that can park the
-// calling process (including the step-boundary parks).
+// calling process.
 var blockingCtxMethods = map[string]bool{
 	"Recv": true, "RecvN": true, "Barrier": true,
 	"Atomically": true, "AtomicallyWait": true, "AtomicallyOrElse": true,
-	"StepBarrier": true, "StepRecvN": true, "StepRoundEnd": true,
 	"HoldCost": true,
 }
 
@@ -129,7 +128,7 @@ func funcID(fn *types.Func) string { return fn.FullName() }
 
 // shortName compresses a canonical id for finding messages:
 // "repro/internal/apps/jacobi.Run" -> "jacobi.Run",
-// "(*repro/internal/apps/jacobi.member).loopTop" -> "member.loopTop".
+// "(*repro/internal/core.Ctx).Recv" -> "core.Ctx.Recv".
 func shortName(id string) string {
 	s := strings.TrimPrefix(id, "(*")
 	s = strings.ReplaceAll(s, ")", "")
@@ -189,7 +188,7 @@ func seedFacts(pkgPath string, fn *types.Func) Fact {
 		if strings.HasPrefix(name, "Send") || strings.HasPrefix(name, "Broadcast") {
 			f |= FactIssuesCharge
 		}
-		if strings.HasPrefix(name, "Recv") || strings.HasPrefix(name, "StepRecv") || name == "SendSync" {
+		if strings.HasPrefix(name, "Recv") || name == "SendSync" {
 			f |= FactIssuesCharge | FactMayBlock
 		}
 	case "repro/internal/stm":

@@ -5,8 +5,7 @@
 // (may-block, spawns-goroutine, uses-channel/sync-lock,
 // touches-region, issues-charge) computed bottom-up along the module's
 // import DAG and consumed by the checks through a lightweight static
-// call graph, with per-package analysis running in parallel and
-// results cached by export-data hash.
+// call graph, with per-package analysis running in parallel.
 //
 // The suite enforces the discipline the paper's cost formulas assume:
 //
@@ -23,21 +22,15 @@
 //     structural grammar);
 //   - ckptsafe: no region element types the checkpoint layer cannot
 //     serialize (raw pointers, funcs, channels, interfaces);
-//   - poolsafe: no escapes of the pooled receive batch a StepRecvN
-//     callback is handed — the slice is overwritten by the next
-//     receive;
 //   - shardsafe: no mutable state shared between group bodies that can
 //     be homed to different shards, and no raw goroutines, channel ops
 //     or sync locking reachable from simulated code — both bypass
 //     virtual time and break the bit-identical sharding guarantee;
-//   - stepsafe: no step-continuation misuse — loop-shared variables
-//     captured across core.Step boundaries, *core.Ctx retained in
-//     package-level state, pooled batch types declared on step-record
-//     structs;
 //   - chargeflow: no loops over data inside charged contexts (group
-//     bodies, Ctx-taking helpers, step segments) whose work is never
-//     charged to the model — unaccounted compute silently corrupts T,
-//     E, P and the §3.1 drift gauges.
+//     bodies, Ctx-taking helpers) whose work is never charged to the
+//     model — unaccounted compute silently corrupts T, E, P and the
+//     §3.1 drift gauges — and no *core.Ctx retained in package-level
+//     state, where later readers charge outside the owning process.
 //
 // A finding is silenced, one site at a time, with an annotation on the
 // same or the preceding line:
@@ -84,9 +77,7 @@ func Analyzers() []*Analyzer {
 		Backdoor(),
 		SRound(),
 		Ckptsafe(),
-		Poolsafe(),
 		Shardsafe(),
-		Stepsafe(),
 		Chargeflow(),
 	}
 }
@@ -115,7 +106,7 @@ type Result struct {
 // parallel — packages are independent once facts exist), applies
 // annotation suppression, reports unused/malformed annotations as
 // findings, deduplicates identical findings, and returns everything
-// sorted by position. Cached packages contribute their saved results.
+// sorted by position.
 func (prog *Program) Analyze(analyzers []*Analyzer) Result {
 	known := map[string]bool{}
 	for _, a := range analyzers {
@@ -138,15 +129,8 @@ func (prog *Program) Analyze(analyzers []*Analyzer) Result {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			if p.cached != nil {
-				results[i] = pkgResult{p.cached.Findings, p.cached.Annotations}
-				return
-			}
 			findings, anns := analyzePkg(p, analyzers, known)
 			results[i] = pkgResult{findings, anns}
-			if prog.cache != nil {
-				prog.cache.put(p.cacheKey(), entryFromResult(prog.facts[p.Path], findings, anns))
-			}
 		}(i, p)
 	}
 	wg.Wait()

@@ -26,8 +26,6 @@ func (c *Ctx) IntOps(n int64)   {}
 func (c *Ctx) FpOps(n int64)    {}
 func (c *Ctx) Barrier()         {}
 
-type Step func(c *Ctx) Step
-
 type Attrs struct{}
 type Group struct{}
 type System struct{}
@@ -38,19 +36,6 @@ func ShardByPlacement() GroupOption { return GroupOption{} }
 func (s *System) NewGroup(name string, a Attrs, n int, body func(*Ctx)) *Group { return &Group{} }
 func (s *System) NewGroupOpts(name string, a Attrs, n int, body func(*Ctx), opts ...GroupOption) *Group {
 	return &Group{}
-}
-func (s *System) NewStepGroup(name string, a Attrs, n int, body func(*Ctx) Step) *Group {
-	return &Group{}
-}
-func (s *System) NewStepGroupOpts(name string, a Attrs, n int, body func(*Ctx) Step, opts ...GroupOption) *Group {
-	return &Group{}
-}
-`,
-	"internal/msgpass/msgpass.go": `package msgpass
-
-type Message struct {
-	From    any
-	Payload any
 }
 `,
 
@@ -130,44 +115,6 @@ func Walk(m map[int]int) int {
 		s += v
 	}
 	return s
-}
-`,
-
-	// Poolsafe call sites: escapes of a pooled receive batch.
-	"steps/steps.go": `package steps
-
-import "repro/internal/msgpass"
-
-var stash []msgpass.Message
-var batches [][]msgpass.Message
-var first *msgpass.Message
-
-type holder struct {
-	ms   []msgpass.Message
-	last msgpass.Message
-}
-
-func Leaky(h *holder, ms []msgpass.Message) {
-	stash = ms                    // finding: poolsafe (outer var)
-	h.ms = ms[1:]                 // finding: poolsafe (field store)
-	first = &ms[0]                // finding: poolsafe (element pointer)
-	batches = append(batches, ms) // finding: poolsafe (slice-header append)
-	go func() { _ = ms[0] }()     // finding: poolsafe (closure capture)
-}
-
-func Clean(h *holder, ms []msgpass.Message) {
-	h.last = ms[0]                   // fine: value copy
-	stash = append(stash[:0], ms...) // fine: element copies
-	local := ms                      // fine: local alias
-	for _, m := range local {
-		h.last = m
-	}
-	_ = len(ms)
-}
-
-func Allowed(ms []msgpass.Message) {
-	//stamplint:allow poolsafe: batch fully consumed before returning
-	stash = ms
 }
 `,
 
@@ -301,66 +248,8 @@ func Allowed(done chan struct{}) {
 }
 `,
 
-	// Stepsafe: loop-shared captures, Ctx retention, pooled batch
-	// fields; step-group bodies are exempt from sround.
-	"stepx/stepx.go": `package stepx
-
-import (
-	"repro/internal/core"
-	"repro/internal/msgpass"
-)
-
-var GlobalCtx *core.Ctx
-
-func Retain(ctx *core.Ctx) {
-	GlobalCtx = ctx // finding: stepsafe (Ctx retained in package state)
-}
-
-type badRecord struct {
-	next  core.Step
-	batch []msgpass.Message // finding: stepsafe (pooled batch field)
-}
-
-type goodRecord struct {
-	ctx  *core.Ctx // fine: member-record idiom
-	next core.Step
-	last msgpass.Message
-}
-
-func LoopCapture() []core.Step {
-	var steps []core.Step
-	sum := int64(0)
-	for i := 0; i < 4; i++ {
-		sum += int64(i)
-		steps = append(steps, func(c *core.Ctx) core.Step {
-			c.IntOps(sum) // finding: stepsafe (loop mutates captured sum)
-			return nil
-		})
-	}
-	return steps
-}
-
-func PerIteration() []core.Step {
-	var steps []core.Step
-	for i := 0; i < 4; i++ {
-		n := int64(i)
-		steps = append(steps, func(c *core.Ctx) core.Step {
-			c.IntOps(n) // fine: per-iteration copy
-			return nil
-		})
-	}
-	return steps
-}
-
-func StepGroup(sys *core.System) {
-	sys.NewStepGroup("sg", core.Attrs{}, 2, func(c *core.Ctx) core.Step {
-		c.IntOps(1) // fine: step bodies structure rounds via StepRound*
-		return nil
-	})
-}
-`,
-
-	// Chargeflow: uncharged data loops in charged contexts.
+	// Chargeflow: uncharged data loops in charged contexts, and a Ctx
+	// retained in package state.
 	"charge/charge.go": `package charge
 
 import "repro/internal/core"
@@ -398,6 +287,12 @@ func Allowed(ctx *core.Ctx, vals []int64) int64 {
 	}
 	return n
 }
+
+var GlobalCtx *core.Ctx
+
+func Retain(ctx *core.Ctx) {
+	GlobalCtx = ctx // finding: chargeflow (Ctx retained in package state)
+}
 `,
 }
 
@@ -419,7 +314,7 @@ func writeFixture(t *testing.T) string {
 func analyzeFixture(t *testing.T) Result {
 	t.Helper()
 	dir := writeFixture(t)
-	prog, err := LoadProgram(dir, []string{"./..."}, LoadOptions{})
+	prog, err := LoadProgram(dir, []string{"./..."})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -469,11 +364,6 @@ func TestFixtureFindings(t *testing.T) {
 		{"ckptsafe", "use/use.go:61"},                  // pointer element
 		{"ckptsafe", "use/use.go:62"},                  // func element
 		{"ckptsafe", "use/use.go:63"},                  // interface element
-		{"poolsafe", "steps/steps.go:15"},              // batch to outer var
-		{"poolsafe", "steps/steps.go:16"},              // subslice through field
-		{"poolsafe", "steps/steps.go:17"},              // element pointer escape
-		{"poolsafe", "steps/steps.go:18"},              // slice-header append
-		{"poolsafe", "steps/steps.go:19"},              // closure capture
 		{"shardsafe", "shard/shard.go:10"},             // loop-shared capture
 		{"shardsafe", "shard/shard.go:20"},             // two-site capture (a)
 		{"shardsafe", "shard/shard.go:23"},             // two-site capture (b)
@@ -481,10 +371,8 @@ func TestFixtureFindings(t *testing.T) {
 		{"shardsafe", "internal/experiments/exp.go:4"}, // raw go stmt + send (two findings)
 		{"shardsafe", "internal/experiments/exp.go:4"},
 		{"shardsafe", "internal/experiments/exp.go:5"}, // raw receive
-		{"stepsafe", "stepx/stepx.go:11"},              // Ctx retention
-		{"stepsafe", "stepx/stepx.go:16"},              // pooled batch field
-		{"stepsafe", "stepx/stepx.go:31"},              // loop-shared capture
 		{"chargeflow", "charge/charge.go:7"},           // uncharged data loop
+		{"chargeflow", "charge/charge.go:42"},          // Ctx retained in package state
 	}
 	for _, w := range want {
 		if !has(res, w.check, w.site) {
@@ -522,10 +410,10 @@ func TestFixtureSuppressionAndCounts(t *testing.T) {
 			used++
 		}
 	}
-	if total != 9 {
-		t.Errorf("counted %d annotations, want 9", total)
+	if total != 8 {
+		t.Errorf("counted %d annotations, want 8", total)
 	}
-	if used != 6 {
-		t.Errorf("%d annotations marked used, want 6 (maprange + backdoor + ckptsafe + poolsafe + shardsafe + chargeflow)", used)
+	if used != 5 {
+		t.Errorf("%d annotations marked used, want 5 (maprange + backdoor + ckptsafe + shardsafe + chargeflow)", used)
 	}
 }

@@ -28,30 +28,20 @@ type Pkg struct {
 	Info   *types.Info
 	Prog   *Program
 
-	goFiles    []string // absolute source paths, go list order
-	imports    []string // module-internal imports
-	exportBase string   // basename of the export file (content-addressed by the build cache)
-	cached     *cacheEntry
+	goFiles []string  // absolute source paths, go list order
+	imports []string  // module-internal imports
+	facts   *PkgFacts // function summaries; set once, before the package's done channel closes
 }
 
 // Program is a whole-module analysis universe: every module package
-// reachable from the requested patterns, in dependency order, plus the
-// per-package function summaries computed bottom-up over that order.
+// reachable from the requested patterns, in dependency order, each
+// carrying the function summaries computed bottom-up over that order.
 type Program struct {
 	Dir    string
 	Module string
 	Fset   *token.FileSet
 	Pkgs   []*Pkg // dependency order (deps before dependents)
 	byPath map[string]*Pkg
-	facts  map[string]*PkgFacts
-	cache  *cache
-}
-
-// LoadOptions configures LoadProgram.
-type LoadOptions struct {
-	// CacheDir enables the per-package result cache rooted there
-	// (keyed by export-data hash; see cache.go). Empty disables it.
-	CacheDir string
 }
 
 // listEntry is the subset of `go list -json` output the loader needs.
@@ -71,9 +61,8 @@ type listEntry struct {
 // module-internal dependencies, parsed and type-checked in parallel
 // against the toolchain's export data (shelling out to `go list -deps
 // -export -json`, exactly like go vet's driver — no module machinery
-// of our own, no non-stdlib imports). Packages with a valid cache
-// entry skip parsing and type-checking entirely.
-func LoadProgram(dir string, patterns []string, opts LoadOptions) (*Program, error) {
+// of our own, no non-stdlib imports).
+func LoadProgram(dir string, patterns []string) (*Program, error) {
 	args := append([]string{"list", "-deps", "-export", "-json"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
@@ -88,10 +77,6 @@ func LoadProgram(dir string, patterns []string, opts LoadOptions) (*Program, err
 		Dir:    dir,
 		Fset:   token.NewFileSet(),
 		byPath: map[string]*Pkg{},
-		facts:  map[string]*PkgFacts{},
-	}
-	if opts.CacheDir != "" {
-		prog.cache = &cache{dir: opts.CacheDir}
 	}
 
 	exports := map[string]string{} // import path -> export file
@@ -111,12 +96,11 @@ func LoadProgram(dir string, patterns []string, opts LoadOptions) (*Program, err
 			prog.Module = e.Module.Path
 		}
 		p := &Pkg{
-			Path:       e.ImportPath,
-			Dir:        e.Dir,
-			Target:     !e.DepOnly,
-			Fset:       prog.Fset,
-			Prog:       prog,
-			exportBase: filepath.Base(e.Export),
+			Path:   e.ImportPath,
+			Dir:    e.Dir,
+			Target: !e.DepOnly,
+			Fset:   prog.Fset,
+			Prog:   prog,
 		}
 		for _, name := range e.GoFiles {
 			p.goFiles = append(p.goFiles, filepath.Join(e.Dir, name))
@@ -141,15 +125,6 @@ func LoadProgram(dir string, patterns []string, opts LoadOptions) (*Program, err
 		p.imports = mod
 	}
 
-	// Resolve cache hits up front: a hit skips parse + type-check.
-	if prog.cache != nil {
-		for _, p := range prog.Pkgs {
-			if e, ok := prog.cache.get(p.cacheKey()); ok {
-				p.cached = e
-			}
-		}
-	}
-
 	if err := prog.parseAndCheck(exports); err != nil {
 		return nil, err
 	}
@@ -166,12 +141,16 @@ func (prog *Program) isModulePkg(path string) bool {
 
 // FuncFacts returns the summary of the named function in the named
 // package, or nil when unknown (dynamic call, unparsed package).
+//
+// During the facts pass it is called only for packages the caller
+// depends on, whose facts were stored before their done channel closed
+// (see computeAllFacts), so the read needs no lock.
 func (prog *Program) FuncFacts(pkgPath, id string) *FuncFacts {
-	pf := prog.facts[pkgPath]
-	if pf == nil {
+	p := prog.byPath[pkgPath]
+	if p == nil || p.facts == nil {
 		return nil
 	}
-	return pf.Funcs[id]
+	return p.facts.Funcs[id]
 }
 
 // FactsOf resolves fn to its summary, nil when unknown.
@@ -182,32 +161,21 @@ func (prog *Program) FactsOf(fn *types.Func) *FuncFacts {
 	return prog.FuncFacts(fn.Pkg().Path(), funcID(fn))
 }
 
-// lockedImporter serializes Import calls: the gc importer caches
-// packages in shared maps that are not safe for concurrent use, while
-// the type-checks driving it run in parallel.
-type lockedImporter struct {
-	mu  sync.Mutex
-	imp types.Importer
-}
-
-func (li *lockedImporter) Import(path string) (*types.Package, error) {
-	li.mu.Lock()
-	defer li.mu.Unlock()
-	return li.imp.Import(path)
-}
-
-// parseAndCheck parses and type-checks every non-cached package, in
-// parallel. Each package checks against export data for its imports
-// (never against our own in-progress type-checks), so package checks
-// are mutually independent.
+// parseAndCheck parses and type-checks every package, in parallel.
+// Each package checks against export data for its imports (never
+// against our own in-progress type-checks), so package checks are
+// mutually independent. Each check gets an importer of its own: go/types
+// memoizes lazily into the objects an importer returns (alias targets,
+// for one), so imported packages shared between concurrent checks
+// would be written from several goroutines at once.
 func (prog *Program) parseAndCheck(exports map[string]string) error {
-	imp := &lockedImporter{imp: importer.ForCompiler(prog.Fset, "gc", func(path string) (io.ReadCloser, error) {
+	lookup := func(path string) (io.ReadCloser, error) {
 		f, ok := exports[path]
 		if !ok {
 			return nil, fmt.Errorf("lint: no export data for %q", path)
 		}
 		return os.Open(f)
-	})}
+	}
 
 	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	var wg sync.WaitGroup
@@ -222,9 +190,6 @@ func (prog *Program) parseAndCheck(exports map[string]string) error {
 	}
 
 	for _, p := range prog.Pkgs {
-		if p.cached != nil {
-			continue
-		}
 		wg.Add(1)
 		go func(p *Pkg) {
 			defer wg.Done()
@@ -246,7 +211,7 @@ func (prog *Program) parseAndCheck(exports map[string]string) error {
 				Selections: map[*ast.SelectorExpr]*types.Selection{},
 				Instances:  map[*ast.Ident]types.Instance{},
 			}
-			conf := types.Config{Importer: imp}
+			conf := types.Config{Importer: importer.ForCompiler(prog.Fset, "gc", lookup)}
 			tpkg, err := conf.Check(p.Path, prog.Fset, files, info)
 			if err != nil {
 				fail(fmt.Errorf("lint: type-checking %s: %v", p.Path, err))
@@ -263,14 +228,17 @@ func (prog *Program) parseAndCheck(exports map[string]string) error {
 
 // computeAllFacts runs the bottom-up facts pass: packages analyze in
 // parallel, each gated on its module-internal imports (the import DAG
-// is the schedule). Cached packages contribute their saved facts.
+// is the schedule). A package's facts are stored on its Pkg before its
+// done channel closes, and dependents read them only after receiving
+// from the done channels of their imports — transitively, every
+// package they can call into — so the channel close orders every read
+// after the write.
 func (prog *Program) computeAllFacts() {
 	done := map[string]chan struct{}{}
 	for _, p := range prog.Pkgs {
 		done[p.Path] = make(chan struct{})
 	}
 	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	var mu sync.Mutex
 	var wg sync.WaitGroup
 	for _, p := range prog.Pkgs {
 		wg.Add(1)
@@ -280,16 +248,8 @@ func (prog *Program) computeAllFacts() {
 				<-done[imp]
 			}
 			sem <- struct{}{}
-			var pf *PkgFacts
-			if p.cached != nil {
-				pf = p.cached.facts()
-			} else {
-				pf = computeFacts(p)
-			}
+			p.facts = computeFacts(p)
 			<-sem
-			mu.Lock()
-			prog.facts[p.Path] = pf
-			mu.Unlock()
 			close(done[p.Path])
 		}(p)
 	}

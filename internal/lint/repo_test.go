@@ -26,7 +26,7 @@ func TestRepoIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the whole repo")
 	}
-	prog, err := LoadProgram(moduleRoot(t), []string{"./..."}, LoadOptions{})
+	prog, err := LoadProgram(moduleRoot(t), []string{"./..."})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -128,15 +128,13 @@ func nestingFindings(p *Pkg, f *ast.File) []Finding {
 // roundlessBodies flags group bodies that perform charged substrate
 // work but never open an S-round or S-unit anywhere. Body resolution
 // (inline literal, ident-bound literal, named function) is the shared
-// spawn-site layer in bodies.go; step-group bodies are exempt because
-// their round structure lives in StepRoundBegin/StepRoundEnd, not in
-// ctx.SRound callbacks.
+// spawn-site layer in bodies.go.
 func roundlessBodies(p *Pkg, f *ast.File) []Finding {
 	seen := map[ast.Node]bool{}
 	var out []Finding
 	for _, b := range groupBodiesIn(p, f) {
 		body := b.bodyNode()
-		if b.step || seen[body] {
+		if seen[body] {
 			continue
 		}
 		seen[body] = true

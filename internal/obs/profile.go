@@ -174,9 +174,10 @@ func (p *ProcProfile) Finish(total sim.Time) {
 }
 
 // FinishInterrupted seals an incarnation of the profile of a process
-// that was forcibly killed. A kill can interrupt an instrumented
-// section after its charge but before the corresponding virtual time
-// elapsed, so attribution may legitimately exceed the elapsed total;
+// that was forcibly killed or torn down by a failing run. Either can
+// interrupt an instrumented section after its charge but before the
+// corresponding virtual time elapsed, so attribution may legitimately
+// exceed the elapsed total;
 // the profile keeps the charges as recorded (its categories may sum
 // to more than Total) rather than panicking like Finish.
 func (p *ProcProfile) FinishInterrupted(total sim.Time) {

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/machine"
+	"repro/internal/memory"
 	"repro/internal/obs"
 )
 
@@ -88,6 +89,45 @@ func TestFixedExampleGolden(t *testing.T) {
 	checkGolden(t, "fixed", got)
 	if d.Report() != nil {
 		t.Fatalf("fixed example reported a race:\n%s", got)
+	}
+}
+
+// runStepped runs example on the stepped kernel path
+// (sim.Kernel.DisableFastPath): every Hold parks and is dispatched from
+// the event heap instead of being coalesced, and compute charges are
+// never batched. The detector reads times, coordinates and ordering
+// edges from the simulation, not from how the kernel advanced it, so
+// the report must not change.
+func runStepped(t *testing.T, example func(*core.System) (*core.Group, *memory.Region[int64])) (*Detector, string) {
+	t.Helper()
+	sys := core.NewSystem(machine.Generic(), core.WithObs(obs.NewObserver()))
+	sys.K.DisableFastPath = true
+	d := Attach(sys)
+	example(sys)
+	if err := sys.Run(); err != nil {
+		t.Fatalf("stepped example: %v", err)
+	}
+	return d, d.Text()
+}
+
+// TestStepModeRacyGolden: the racy example on the stepped kernel path
+// reports the same race as the pinned golden, byte for byte.
+func TestStepModeRacyGolden(t *testing.T) {
+	d, got := runStepped(t, RacyExample)
+	checkGolden(t, "racy", got)
+	if d.Report() == nil {
+		t.Fatal("stepped racy example reported no race")
+	}
+}
+
+// TestStepModeFixedGolden: on the stepped kernel path the barrier's
+// release edges still order the write before the read, yielding the
+// clean-run golden.
+func TestStepModeFixedGolden(t *testing.T) {
+	d, got := runStepped(t, FixedExample)
+	checkGolden(t, "fixed", got)
+	if d.Report() != nil {
+		t.Fatalf("stepped fixed example reported a race:\n%s", got)
 	}
 }
 

@@ -86,65 +86,3 @@ func TestCrossProcHandoffZeroAllocSteadyState(t *testing.T) {
 		t.Fatalf("ping-pong round allocates %.2f/run, want 0", avg)
 	}
 }
-
-// TestStepChurnZeroAllocSteadyState covers step-proc spawn→exit churn:
-// after warm-up (free list primed, joiner-queue and heap capacity
-// grown, one carrier pooled) a full spawn + retire + recycle + join
-// cycle must be allocation-free. This is the property the
-// Kernel_SpawnChurn benchmark reports and CI gates on.
-func TestStepChurnZeroAllocSteadyState(t *testing.T) {
-	k := NewKernel()
-	var avg float64
-	k.Spawn("driver", func(p *Proc) {
-		churn := func() {
-			c := k.SpawnStep("churn", stepExit)
-			p.Join(c)
-		}
-		for i := 0; i < 64; i++ { // warm up free list, heap, carrier pool
-			churn()
-		}
-		avg = testing.AllocsPerRun(500, churn)
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if avg != 0 {
-		t.Fatalf("step spawn/exit churn allocates %.2f/run, want 0", avg)
-	}
-}
-
-// TestStepSpawnCycleZeroAllocSteadyState is the all-step variant: the
-// driver itself is a step proc, so the cycle never leaves one carrier
-// goroutine — the configuration BenchmarkKernel_Spawn measures.
-func TestStepSpawnCycleZeroAllocSteadyState(t *testing.T) {
-	k := NewKernel()
-	var avg float64
-	phase := 0
-	var root StepFunc
-	root = func(p *Proc) StepFunc {
-		// Warm-up spawns happen through the boundary-parking join path;
-		// the measured cycles then run via AllocsPerRun with a
-		// mid-activation join (Join parks the carrier), which reuses the
-		// pooled sudog and allocates nothing at steady state.
-		if phase < 64 {
-			phase++
-			c := k.SpawnStep("child", benchStepChild)
-			if !p.StepJoin(c) {
-				return root
-			}
-			return root
-		}
-		avg = testing.AllocsPerRun(500, func() {
-			c := k.SpawnStep("child", benchStepChild)
-			p.Join(c)
-		})
-		return nil
-	}
-	k.SpawnStep("root", root)
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if avg != 0 {
-		t.Fatalf("step spawn cycle allocates %.2f/run, want 0", avg)
-	}
-}

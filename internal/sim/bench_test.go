@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"runtime"
-	"testing"
-)
+import "testing"
 
 // BenchmarkKernel_HoldLoop measures the hot dispatch path of the
 // simulator: a single process repeatedly advancing its clock. With no
@@ -49,46 +46,9 @@ func BenchmarkKernel_PingPong(b *testing.B) {
 	}
 }
 
-// BenchmarkKernel_Spawn measures process creation on the step-machine
-// path: spawn, one hold, join — the whole cycle runs on one carrier
-// goroutine with no stack allocation, no channel handoff and, at
-// steady state, no heap allocation (the Proc record recycles through
-// the free list). BenchmarkKernel_SpawnGoroutine is the same program
-// on goroutine procs.
+// BenchmarkKernel_Spawn measures process creation: spawn, one hold,
+// join — one goroutine (and stack) per child.
 func BenchmarkKernel_Spawn(b *testing.B) {
-	k := NewKernel()
-	n := 0
-	var root StepFunc
-	root = func(p *Proc) StepFunc {
-		for n < b.N {
-			n++
-			c := k.SpawnStep("child", benchStepChild)
-			if !p.StepJoin(c) {
-				return root
-			}
-		}
-		return nil
-	}
-	k.SpawnStep("root", root)
-	b.ReportAllocs()
-	b.ResetTimer()
-	if err := k.Run(); err != nil {
-		b.Fatal(err)
-	}
-}
-
-func benchStepChild(p *Proc) StepFunc {
-	if p.StepHold(1) {
-		return nil
-	}
-	return stepExitBench
-}
-
-func stepExitBench(p *Proc) StepFunc { return nil }
-
-// BenchmarkKernel_SpawnGoroutine is the old spawn benchmark: one
-// goroutine (and stack) per child, records retained until the run ends.
-func BenchmarkKernel_SpawnGoroutine(b *testing.B) {
 	k := NewKernel()
 	k.Spawn("root", func(p *Proc) {
 		for i := 0; i < b.N; i++ {
@@ -102,84 +62,6 @@ func BenchmarkKernel_SpawnGoroutine(b *testing.B) {
 	b.ResetTimer()
 	if err := k.Run(); err != nil {
 		b.Fatal(err)
-	}
-}
-
-// BenchmarkKernel_SpawnChurn measures pure spawn→exit churn on the
-// step path: the child finishes on its first activation, so every
-// cycle exercises free-list take, retire and recycle. Steady state
-// must be 0 allocs/op (TestStepChurnZeroAllocSteadyState enforces the
-// exact-zero property; CI gates on this benchmark's allocs/op column).
-func BenchmarkKernel_SpawnChurn(b *testing.B) {
-	k := NewKernel()
-	n := 0
-	var root StepFunc
-	root = func(p *Proc) StepFunc {
-		for n < b.N {
-			n++
-			c := k.SpawnStep("child", stepExitBench)
-			if !p.StepJoin(c) {
-				return root
-			}
-		}
-		return nil
-	}
-	k.SpawnStep("root", root)
-	b.ReportAllocs()
-	b.ResetTimer()
-	if err := k.Run(); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// BenchmarkKernel_MillionProcs cycles ~1M step procs through one run
-// in waves, with at most one wave live at a time, and reports observed
-// peak heap growth divided by total procs spawned. O(live) memory
-// means the metric stays far below one Proc record's size (~200 B);
-// retaining every record would push it to hundreds of bytes per proc.
-func BenchmarkKernel_MillionProcs(b *testing.B) {
-	const (
-		perWave = 1024
-		waves   = 1024 // 1<<20 procs total
-	)
-	for iter := 0; iter < b.N; iter++ {
-		k := NewKernel()
-		var base, peak uint64
-		var ms runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&ms)
-		base = ms.HeapAlloc
-		wave := 0
-		var root StepFunc
-		root = func(p *Proc) StepFunc {
-			for wave < waves {
-				wave++
-				var last *Proc
-				for j := 0; j < perWave; j++ {
-					last = k.SpawnStep("w", benchStepChild)
-				}
-				if wave%128 == 0 {
-					runtime.GC()
-					runtime.ReadMemStats(&ms)
-					if ms.HeapAlloc > peak {
-						peak = ms.HeapAlloc
-					}
-				}
-				if !p.StepJoin(last) {
-					return root
-				}
-			}
-			return nil
-		}
-		k.SpawnStep("root", root)
-		if err := k.Run(); err != nil {
-			b.Fatal(err)
-		}
-		if peak > base {
-			b.ReportMetric(float64(peak-base)/float64(perWave*waves), "peak-bytes/proc")
-		} else {
-			b.ReportMetric(0, "peak-bytes/proc")
-		}
 	}
 }
 

@@ -11,9 +11,9 @@ import (
 )
 
 // TestFlakeHunt is the on-demand flake hunter behind `make flake-hunt`:
-// it reruns the three execution-equivalence fuzzes — kill (step vs
-// goroutine teardown), step-vs-goroutine / fast-path observational
-// equivalence, and shard-layout equivalence — over FLAKE_HUNT_N fresh
+// it reruns the three execution-equivalence fuzzes — kill teardown and
+// fast-path observational equivalence (each fast path against slow
+// path), and shard-layout equivalence — over FLAKE_HUNT_N fresh
 // randomized seeds. Unlike the quick.Check suites, the seeds here are
 // drawn from a wall-clock master seed, so every run explores new
 // territory; each per-case seed is logged so any failure reproduces
@@ -38,15 +38,9 @@ func TestFlakeHunt(t *testing.T) {
 		seed := rng.Int63()
 		t.Logf("case %d/%d seed %d", i+1, n, seed)
 
-		if !checkStepKillEquiv(seed) {
-			goro := buildStepKillProgram(seed, false)
-			step := buildStepKillProgram(seed, true)
-			t.Fatalf("kill equivalence diverged at seed %d\n-- goroutines --\n%s\n-- steps --\n%s",
-				seed, strings.Join(goro, "\n"), strings.Join(step, "\n"))
-		}
-		if goro, step := buildEquivProgram(seed, false), buildEquivProgram(seed, true); !reflect.DeepEqual(goro, step) {
-			t.Fatalf("step observational equivalence diverged at seed %d\n-- goroutines --\n%s\n-- steps --\n%s",
-				seed, strings.Join(goro, "\n"), strings.Join(step, "\n"))
+		if fast, slow := buildKillProgram(seed, false), buildKillProgram(seed, true); !reflect.DeepEqual(fast, slow) {
+			t.Fatalf("kill equivalence diverged at seed %d\n-- fast --\n%s\n-- slow --\n%s",
+				seed, strings.Join(fast, "\n"), strings.Join(slow, "\n"))
 		}
 		if fast, slow := buildFastPathProgram(seed, false), buildFastPathProgram(seed, true); !reflect.DeepEqual(fast, slow) {
 			t.Fatalf("fast-path observational equivalence diverged at seed %d\n-- fast --\n%s\n-- slow --\n%s",

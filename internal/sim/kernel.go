@@ -1,17 +1,13 @@
 // Package sim implements a deterministic discrete-event simulation kernel.
 //
-// Simulated processes execute in one of two modes. Goroutine procs
-// (Spawn) run arbitrary blocking Go code on a goroutine of their own;
-// step procs (SpawnStep) are resumable state machines executed on
-// pooled carrier goroutines with no stack of their own (see step.go).
-// Either way the kernel enforces strictly sequential execution: at any
-// instant exactly one goroutine runs, with control transferred by
-// direct channel handoff. The dispatch loop is not pinned to a kernel
-// goroutine — it is a baton: the goroutine that parks runs the loop
-// itself and resumes the next runnable process directly, so a park
-// costs one goroutine switch, not two, and costs none at all when the
-// next runnable process is the parker itself (or, for step procs, a
-// step activation the same carrier can run in place).
+// Each simulated process (Spawn) runs arbitrary blocking Go code on a
+// goroutine of its own. The kernel enforces strictly sequential
+// execution: at any instant exactly one goroutine runs, with control
+// transferred by direct channel handoff. The dispatch loop is not
+// pinned to a kernel goroutine — it is a baton: the goroutine that
+// parks runs the loop itself and resumes the next runnable process
+// directly, so a park costs one goroutine switch, not two, and costs
+// none at all when the next runnable process is the parker itself.
 // Virtual time is an int64 tick counter; events are dispatched in
 // (time, sequence) order, so every run of the same program is
 // bit-for-bit reproducible regardless of host scheduling.
@@ -63,8 +59,7 @@ type Kernel struct {
 
 	// Live processes form an intrusive doubly-linked list in spawn
 	// order (Proc.prevLive/nextLive). Finished procs leave the list, so
-	// kernel memory is O(live procs), not O(procs ever spawned) — the
-	// property that lets one run cycle through millions of step procs.
+	// kernel memory is O(live procs), not O(procs ever spawned).
 	liveHead *Proc
 	liveTail *Proc
 
@@ -97,10 +92,6 @@ type Kernel struct {
 	poisoned   bool
 	unwound    chan struct{}
 	doneSender *Proc
-	// unwindRest holds the processes spawned after doneSender that are
-	// still to unwind; doneSender's retirement drains it so teardown
-	// defer order is spawn order in both execution modes.
-	unwindRest []*Proc
 
 	// MaxEvents bounds the number of dispatched events; 0 means no
 	// bound. Exceeding it makes Run return ErrEventLimit. Coalesced
@@ -129,14 +120,6 @@ type Kernel struct {
 	// not a completion.
 	pauseAt Time
 	paused  bool
-
-	// Step-machine execution state (see step.go): the free list of
-	// recycled Proc records, the pool of idle carrier goroutines, and
-	// the runnable step proc dispatch is handing to a carrier's own
-	// loop (valid only across a batonStep return).
-	freeProcs    []*Proc
-	idleCarriers []*carrier
-	stepNext     *Proc
 }
 
 // NewKernel returns an empty simulator positioned at time 0.
@@ -193,15 +176,10 @@ func (k *Kernel) unlive(p *Proc) {
 	p.prevLive, p.nextLive = nil, nil
 }
 
-// push schedules an event; at must be >= k.now. Events that reference
-// a process pin its record (Proc.refs): the free list never reuses a
-// record that a queued event could still wake.
+// push schedules an event; at must be >= k.now.
 func (k *Kernel) push(at Time, kind eventKind, p *Proc, fn func()) {
 	if at < k.now {
 		panic(fmt.Sprintf("sim: scheduling event at %d before now %d", at, k.now))
-	}
-	if p != nil {
-		p.refs++
 	}
 	k.seq++
 	k.events.push(event{at: at, seq: k.seq, kind: kind, proc: p, fn: fn})
@@ -349,16 +327,16 @@ func (k *Kernel) Run() error {
 	k.err = nil
 	k.doneSender = nil
 	k.cur = nil
-	k.dispatch(nil, nil)
+	k.dispatch(nil)
 	<-k.done
 	return k.err
 }
 
 // RunUntil dispatches events with timestamps strictly below horizon,
-// then pauses, preserving every parked process, queued event and idle
-// carrier so a later RunUntil (with a larger horizon) resumes
-// seamlessly — the primitive the shard coordinator (ShardGroup) drives
-// each lookahead window with. Within the dispatched prefix, event
+// then pauses, preserving every parked process and queued event so a
+// later RunUntil (with a larger horizon) resumes seamlessly — the
+// primitive the shard coordinator (ShardGroup) drives each lookahead
+// window with. Within the dispatched prefix, event
 // order is identical to an unwindowed Run: pausing stops the loop, it
 // never reorders it.
 //
@@ -391,7 +369,7 @@ func (k *Kernel) RunUntil(horizon Time) (done bool, err error) {
 	k.err = nil
 	k.doneSender = nil
 	k.cur = nil
-	k.dispatch(nil, nil)
+	k.dispatch(nil)
 	<-k.done
 	if k.paused {
 		k.paused = false
@@ -402,27 +380,16 @@ func (k *Kernel) RunUntil(horizon Time) (done bool, err error) {
 
 // pause suspends dispatch at the RunUntil horizon: the baton holder
 // signals completion exactly as finish does, but keeps all simulation
-// state intact. The verdict mirrors an ordinary baton handoff — a
-// parked process blocks on its resume channel, a carrier parks on the
-// idle pool and then its own channel, and a bare dispatcher
-// (RunUntil's seed, a finished process's trailing dispatch) stops.
-// After the done send the pausing goroutine touches only its own
-// channel, so the coordinator may immediately start the next window.
-func (k *Kernel) pause(self *Proc, c *carrier) batonState {
+// state intact. The caller then acts as after an ordinary baton
+// handoff — a parked process blocks on its resume channel and a bare
+// dispatcher (RunUntil's seed, a finished process's trailing dispatch)
+// stops. After the done send the pausing goroutine touches only its
+// own channel, so the coordinator may immediately start the next
+// window.
+func (k *Kernel) pause() {
 	k.paused = true
 	k.cur = nil
-	if c != nil {
-		k.idleCarriers = append(k.idleCarriers, c)
-	}
 	k.done <- struct{}{}
-	if self != nil || c != nil {
-		// A carrier was enqueued on the idle pool above and must park
-		// on its channel, not exit: a later window's handToCarrier may
-		// pick it. batonStop here would leak a dead carrier into the
-		// pool and strand the proc handed to it.
-		return batonPassed
-	}
-	return batonStop
 }
 
 // NextEventAt returns the timestamp of the earliest queued event;
@@ -453,7 +420,6 @@ func (k *Kernel) AbortPaused() {
 		return
 	}
 	k.stopped = true
-	k.drainCarriers()
 	k.teardown(nil)
 }
 
@@ -462,8 +428,8 @@ type batonState uint8
 
 const (
 	// batonPassed: the baton went to another goroutine (or the
-	// simulation finished with the caller not parked); the caller must
-	// block on its resume channel or return.
+	// simulation finished or paused with the caller not parked); the
+	// caller must block on its resume channel or return.
 	batonPassed batonState = iota
 	// batonSelf: the next runnable process is the caller; it resumes in
 	// place with no channel handoff.
@@ -471,44 +437,21 @@ const (
 	// batonDead: the simulation terminated with an error while the
 	// caller was parked; the caller must unwind instead of resuming.
 	batonDead
-	// batonStep: the next runnable work is a step activation and the
-	// caller is a carrier's top-level loop; the proc is in k.stepNext
-	// and the carrier runs it in place with no handoff at all. Only
-	// dispatch calls with a carrier receive this.
-	batonStep
-	// batonStop: the simulation finished while the caller held the
-	// baton with no proc of its own (a carrier loop, Run's seed
-	// dispatch, or a finished proc's trailing dispatch); the caller
-	// simply stops.
-	batonStop
 )
 
 // dispatch runs the event loop while the calling goroutine holds the
 // scheduler baton. self is the process whose goroutine is calling (nil
-// from Run, from a finished process, or from a carrier's top-level
-// loop); c is the carrier whose loop is calling (nil everywhere else —
-// self and c are never both non-nil). It returns batonSelf when the
+// from Run or from a finished process). It returns batonSelf when the
 // next runnable process is self — the caller resumes in place with no
-// channel handoff at all — batonStep when the caller is a carrier loop
-// and the next runnable work is a step activation it should run in
-// place (k.stepNext), batonDead when the simulation ended in an error
-// while self was parked (the caller must unwind), batonStop when the
-// simulation ended with the caller not parked, and batonPassed after
-// handing the baton to another goroutine.
-//
-// Step activations are run in place only from a carrier's top level:
-// dispatching from under a parked proc's stack (self != nil) must hand
-// the activation to a carrier instead, because running it inline would
-// bury the activation beneath frames that can only unwind when the
-// parked proc resumes — a deadlock if the activation's own park is
-// what eventually wakes the parked proc. A carrier that hands the
-// baton to another goroutine first parks itself on the idle pool;
-// kernel state may only be touched while holding the baton.
+// channel handoff at all — batonDead when the simulation ended in an
+// error while self was parked (the caller must unwind), and
+// batonPassed after handing the baton to another goroutine or ending
+// the simulation normally.
 //
 // The pop sequence and event handling are identical to a centralized
 // loop; only the goroutine executing them differs, so dispatch order —
 // and therefore every virtual-time result — is unchanged.
-func (k *Kernel) dispatch(self *Proc, c *carrier) batonState {
+func (k *Kernel) dispatch(self *Proc) batonState {
 	for {
 		if e := k.interrupt.Load(); e != nil {
 			e.At = k.now
@@ -517,7 +460,8 @@ func (k *Kernel) dispatch(self *Proc, c *carrier) batonState {
 		}
 		if k.pauseAt > 0 {
 			if n := k.events.Len(); (n == 0 && k.live > 0) || (n > 0 && k.events.min().at >= k.pauseAt) {
-				return k.pause(self, c)
+				k.pause()
+				return batonPassed
 			}
 		}
 		if k.events.Len() == 0 {
@@ -548,71 +492,33 @@ func (k *Kernel) dispatch(self *Proc, c *carrier) batonState {
 			k.inCall = false
 		case evStart:
 			p := ev.proc
-			p.refs--
 			if p.killed {
-				// Killed before first activation: retire without the
-				// body ever running (no goroutine, no finalizer). The
-				// joiner wakes carry no process edge (kernel context),
-				// so clear cur.
+				// Killed before first activation: retire without ever
+				// creating a goroutine. The joiner wakes carry no
+				// process edge (kernel context), so clear cur.
 				k.cur = nil
 				p.state = stateDone
 				k.live--
 				k.unlive(p)
 				p.joiners.broadcastLocked(k)
-				k.maybeRecycle(p)
 				continue
 			}
 			p.state = stateRunning
 			k.cur = p
-			if p.isStep {
-				if c != nil {
-					k.stepNext = p
-					return batonStep
-				}
-				k.handToCarrier(p)
-				return batonPassed
-			}
-			if c != nil {
-				k.idleCarriers = append(k.idleCarriers, c)
-			}
 			go p.run()
 			return batonPassed
 		case evWake:
 			p := ev.proc
-			p.refs--
 			if p.state == stateDone {
-				// Stale wake after completion: ignore. Dropping the
-				// reference may make the retired record recyclable.
-				k.maybeRecycle(p)
-				continue
+				continue // stale wake after completion: ignore
 			}
 			if p.state != stateWaiting {
 				panic(fmt.Sprintf("sim: wake of process %q in state %v", p.name, p.state))
-			}
-			if p.isStep && !p.midParked {
-				// Boundary-parked step proc: there is no goroutine to
-				// resume — run (or hand off) the next activation, or
-				// retire in place if the wake is a kill's poison wake.
-				if p.killed {
-					k.retireKilledStep(p)
-					continue
-				}
-				p.state = stateRunning
-				k.cur = p
-				if c != nil {
-					k.stepNext = p
-					return batonStep
-				}
-				k.handToCarrier(p)
-				return batonPassed
 			}
 			p.state = stateRunning
 			k.cur = p
 			if p == self {
 				return batonSelf
-			}
-			if c != nil {
-				k.idleCarriers = append(k.idleCarriers, c)
 			}
 			p.resume <- struct{}{}
 			return batonPassed
@@ -623,13 +529,12 @@ func (k *Kernel) dispatch(self *Proc, c *carrier) batonState {
 // batonAfterFinish classifies the dispatch return after finish: a
 // caller that was parked when the error hit must unwind its own stack
 // (batonDead); otherwise — Run's seed dispatch, a finished process's
-// trailing dispatch, a carrier loop, or a normal end — the baton
-// simply stops.
+// trailing dispatch, or a normal end — the baton simply stops.
 func (k *Kernel) batonAfterFinish(self *Proc) batonState {
 	if self != nil && k.poisoned {
 		return batonDead
 	}
-	return batonStop
+	return batonPassed
 }
 
 // finish records the simulation outcome and releases Run. Exactly one
@@ -646,7 +551,6 @@ func (k *Kernel) batonAfterFinish(self *Proc) batonState {
 // still parked, the done signal is deferred to self's own unwind
 // (doneSender; see Proc.run).
 func (k *Kernel) finish(err error, self *Proc) {
-	k.drainCarriers()
 	k.err = err
 	if err != nil {
 		k.stopped = true
@@ -659,75 +563,24 @@ func (k *Kernel) finish(err error, self *Proc) {
 	k.done <- struct{}{}
 }
 
-// teardown unwinds every parked process except self: goroutine procs
-// (and step procs parked mid-activation on a carrier) are
-// poison-resumed one at a time, each goroutine finishing its unwind
-// before the next is resumed — the one-goroutine-at-a-time invariant
-// holds even through error exits, so unwinding defers may safely touch
-// kernel state. Boundary-parked step procs have no goroutine: they are
-// retired in place (teardownStep), their finalizers observing
-// Unwinding() exactly as a goroutine's defers would. The waiting set
-// is snapshotted first because retirement edits the live list.
-//
-// Unwind order is spawn order, including self's slot: which goroutine
-// detects the error depends on where the baton happens to be — a
-// mode-dependent accident (a killed goroutine proc unwinds through a
-// channel handoff while a killed boundary-parked step proc retires
-// inline in dispatch, leaving the baton elsewhere) — so self cannot
-// simply unwind last without step and goroutine runs of the same
-// program tearing down in different defer orders. Processes spawned
-// before self unwind here; self unwinds when its park observes
-// batonDead; the rest are stashed on unwindRest and unwound from
-// self's own retirement (see finishTeardown).
+// teardown poison-resumes every parked process except self, in spawn
+// order, waiting for each goroutine to finish unwinding before
+// resuming the next — the one-goroutine-at-a-time invariant holds even
+// through error exits, so unwinding defers may safely touch kernel
+// state. Retirement edits the live list, so the waiting set is
+// snapshotted first.
 func (k *Kernel) teardown(self *Proc) {
 	k.poisoned = true
-	var before, after []*Proc
-	seenSelf := false
+	var parked []*Proc
 	for p := k.liveHead; p != nil; p = p.nextLive {
-		if p == self {
-			seenSelf = true
-			continue
-		}
-		if p.state == stateWaiting {
-			if seenSelf {
-				after = append(after, p)
-			} else {
-				before = append(before, p)
-			}
+		if p != self && p.state == stateWaiting {
+			parked = append(parked, p)
 		}
 	}
-	k.unwindList(before)
-	if self != nil && self.state == stateWaiting {
-		k.unwindRest = after
-	} else {
-		k.unwindList(after)
-	}
-}
-
-// unwindList unwinds parked procs in order; retirement may edit the
-// live list or wake/retire later entries, so each is re-checked.
-func (k *Kernel) unwindList(ps []*Proc) {
-	for _, p := range ps {
-		if p.state != stateWaiting {
-			continue
-		}
-		if p.isStep && !p.midParked {
-			k.teardownStep(p)
-			continue
-		}
+	for _, p := range parked {
 		p.resume <- struct{}{}
 		<-k.unwound
 	}
-}
-
-// finishTeardown completes a teardown that was split around the
-// detecting process: called from that process's retirement (Proc.run's
-// recover or runSteps' recover, just before it releases Run), it
-// unwinds the processes that were spawned after it.
-func (k *Kernel) finishTeardown() {
-	rest := k.unwindRest
-	k.unwindRest = nil
-	k.unwindList(rest)
 }
 
 // blockedNames lists live processes for deadlock reports,

@@ -42,24 +42,12 @@ type Proc struct {
 	k      *Kernel
 	id     int
 	name   string
-	resume chan struct{} // lazily allocated for step procs (first mid-park)
+	resume chan struct{}
 	state  procState
 	fn     func(p *Proc)
 
 	joiners WaitQueue // processes blocked in Join on this one
 	killed  bool      // Kill was called; unwind at the next chance
-
-	// Step-machine execution state (see step.go).
-	isStep    bool     // SpawnStep proc: no goroutine, activations on carriers
-	midParked bool     // parked mid-activation; a carrier goroutine is blocked for it
-	noRecycle bool     // opt out of free-list reuse (Pin, WaitTimeout)
-	step      StepFunc // continuation to run at the next activation
-	deferred  func(*Proc)
-
-	// Pooling safety: refs counts heap events referencing this record;
-	// waitq is the queue the proc is currently enrolled on, if any.
-	refs  int
-	waitq *WaitQueue
 
 	// Live-list links (kernel retains only live procs; see Kernel.alive).
 	prevLive *Proc
@@ -149,7 +137,6 @@ func (p *Proc) run() {
 			// process is the one that detected the error (its unwind
 			// was deferred past finish; see Kernel.finish).
 			if k.doneSender == p {
-				k.finishTeardown()
 				k.done <- struct{}{}
 			} else {
 				k.unwound <- struct{}{}
@@ -169,8 +156,7 @@ func (p *Proc) run() {
 			k.probe.ProcExit(p)
 		}
 		p.joiners.broadcastLocked(k)
-		p.leaveWaitq()
-		k.dispatch(nil, nil)
+		k.dispatch(nil)
 	}()
 	p.fn(p)
 }
@@ -220,31 +206,18 @@ func (p *Proc) CanCoalesce(d Time) bool { return p.k.canCoalesce(d) }
 // wake and resumes it. A resume that arrives because p was killed, or
 // because the kernel is tearing down after an error, unwinds the
 // goroutine instead of returning.
-//
-// A step proc reaching park is blocking in the middle of an
-// activation: the carrier running it temporarily becomes its goroutine
-// (midParked), parking and resuming exactly as a Spawn proc's
-// goroutine would, so mid-activation blocking is order-identical to
-// goroutine-mode blocking.
 func (p *Proc) park() {
 	if p.killed || p.k.poisoned {
 		panic(errUnwind)
 	}
-	if p.isStep {
-		p.midParked = true
-		if p.resume == nil {
-			p.resume = make(chan struct{})
-		}
-	}
 	p.state = stateWaiting
-	switch p.k.dispatch(p, nil) {
+	switch p.k.dispatch(p) {
 	case batonSelf:
 	case batonDead:
 		panic(errUnwind)
 	default:
 		<-p.resume
 	}
-	p.midParked = false
 	if p.killed || p.k.poisoned {
 		panic(errUnwind)
 	}

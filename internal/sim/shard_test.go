@@ -53,44 +53,45 @@ func TestRunUntilPausesAndResumes(t *testing.T) {
 	}
 }
 
-// TestRunUntilPausesAndResumesStepProcs is the step-mode twin of the
-// test above, and a regression test for a carrier leak: when a carrier
-// holds the baton at the pause, it is enqueued on the idle pool and
-// must park on its channel rather than exit — an exiting carrier left
-// in the pool strands the proc a later window hands to it, hanging
-// RunUntil forever.
+// TestRunUntilPausesAndResumesStepProcs is the test above on the
+// stepped kernel path, with a second process parked on a queue across
+// every pause: the holder signals it after each hold, and each wake
+// must dispatch in the window that owns its time.
 func TestRunUntilPausesAndResumesStepProcs(t *testing.T) {
-	k := NewKernel()
-	var ticks []Time
-	var stepFn StepFunc
-	n := 0
-	stepFn = func(p *Proc) StepFunc {
-		if n > 0 {
-			ticks = append(ticks, p.Now())
+	k := newSteppedKernel()
+	q := &WaitQueue{}
+	var woke []Time
+	k.Spawn("waiter", func(p *Proc) {
+		for i := 0; i < 3; i++ {
+			q.Wait(p)
+			woke = append(woke, p.Now())
 		}
-		if n++; n > 3 {
-			return nil
+	})
+	k.Spawn("holder", func(p *Proc) {
+		for i := 0; i < 3; i++ {
+			p.Hold(10)
+			q.Signal(k)
 		}
-		p.StepHold(10)
-		return stepFn
-	}
-	k.SpawnStep("holder", stepFn)
+	})
 
 	for i, horizon := range []Time{15, 25} {
 		done, err := k.RunUntil(horizon)
 		if done || err != nil {
 			t.Fatalf("RunUntil(%d) = (%v, %v), want paused", horizon, done, err)
 		}
-		if len(ticks) != i+1 {
-			t.Fatalf("after window %d ticks = %v", i, ticks)
+		if k.Now() >= horizon {
+			t.Fatalf("clock %d advanced past horizon %d", k.Now(), horizon)
+		}
+		if len(woke) != i+1 {
+			t.Fatalf("after window %d woke = %v", i, woke)
 		}
 	}
 	done, err := k.RunUntil(Infinity)
 	if !done || err != nil {
 		t.Fatalf("RunUntil(Infinity) = (%v, %v), want completion", done, err)
 	}
-	if want := []Time{10, 20, 30}; !reflect.DeepEqual(ticks, want) {
-		t.Fatalf("final ticks = %v, want %v", ticks, want)
+	if want := []Time{10, 20, 30}; !reflect.DeepEqual(woke, want) {
+		t.Fatalf("final woke = %v, want %v", woke, want)
 	}
 }
 
@@ -190,9 +191,8 @@ func TestShardGroupDeadlock(t *testing.T) {
 }
 
 // TestShardGroupErrorTeardown: a panic on one shard aborts the others;
-// parked procs and boundary-parked step procs on surviving shards
-// unwind through their finalizers exactly as a sequential error run
-// unwinds them.
+// parked procs on surviving shards unwind through their deferred
+// functions exactly as a sequential error run unwinds them.
 func TestShardGroupErrorTeardown(t *testing.T) {
 	sg := NewShardGroup(3, 5)
 	var q WaitQueue
@@ -201,12 +201,9 @@ func TestShardGroupErrorTeardown(t *testing.T) {
 		defer func() { unwound++ }()
 		q.Wait(p)
 	})
-	sg.Shard(2).SpawnStep("stepper", func(p *Proc) StepFunc {
-		p.Defer(func(*Proc) { unwound++ })
-		if p.StepHold(1000) {
-			return nil
-		}
-		return func(*Proc) StepFunc { return nil }
+	sg.Shard(2).Spawn("holder", func(p *Proc) {
+		defer func() { unwound++ }()
+		p.Hold(1000)
 	})
 	sg.Shard(1).Spawn("bomb", func(p *Proc) {
 		p.Hold(3)
@@ -251,12 +248,11 @@ type shardPlan struct {
 }
 
 type planRound struct {
-	hold   Time
-	send   bool
-	dst    int  // global proc index on another chip
-	off    Time // arrival offset beyond lookahead
-	val    int64
-	isStep bool // spawn mode of the proc (same for all its rounds)
+	hold Time
+	send bool
+	dst  int  // global proc index on another chip
+	off  Time // arrival offset beyond lookahead
+	val  int64
 }
 
 func makeShardPlan(rng *rand.Rand, lookahead Time) shardPlan {
@@ -267,11 +263,10 @@ func makeShardPlan(rng *rand.Rand, lookahead Time) shardPlan {
 	n := pl.chips * pl.procs
 	pl.rounds = make([][]planRound, n)
 	for i := range pl.rounds {
-		isStep := rng.Intn(2) == 0
 		r := 3 + rng.Intn(6)
 		pl.rounds[i] = make([]planRound, r)
 		for j := range pl.rounds[i] {
-			pr := planRound{hold: Time(rng.Intn(9)), isStep: isStep}
+			pr := planRound{hold: Time(rng.Intn(9))}
 			if rng.Intn(3) != 0 {
 				for {
 					pr.dst = rng.Intn(n)
@@ -366,14 +361,7 @@ func runPlan(t *testing.T, pl shardPlan, nShards, workers int) planDigest {
 			}
 			dig.End[gi] = p.Now()
 		}
-		name := fmt.Sprintf("p%d", gi)
-		if pl.rounds[gi][0].isStep {
-			// One mid-parking mega-activation: exercises carriers and
-			// their pause/resume interplay across windows.
-			kernelOf(gi).SpawnStep(name, func(p *Proc) StepFunc { body(p); return nil })
-		} else {
-			kernelOf(gi).Spawn(name, body)
-		}
+		kernelOf(gi).Spawn(fmt.Sprintf("p%d", gi), body)
 	}
 
 	var err error
@@ -390,8 +378,8 @@ func runPlan(t *testing.T, pl shardPlan, nShards, workers int) planDigest {
 
 // TestShardEquivalenceFuzz runs randomized cross-chip workloads on the
 // sequential kernel and on every shard×worker layout and requires
-// identical digests — the sharding analog of the DisableFastPath and
-// step-vs-goroutine equivalence suites.
+// identical digests — the sharding analog of the DisableFastPath
+// equivalence suite.
 func TestShardEquivalenceFuzz(t *testing.T) {
 	layouts := [][2]int{{1, 1}, {2, 1}, {2, 2}, {4, 1}, {4, 2}, {4, 4}}
 	for seed := int64(0); seed < 12; seed++ {

@@ -3,11 +3,6 @@ package sim
 // WaitQueue is a FIFO queue of parked processes. It is the building
 // block for condition-style blocking (mailboxes, barriers, memory-bank
 // queues, transaction retry lists). The zero value is ready to use.
-//
-// Goroutine procs block on a queue with Wait; step-proc activations
-// enroll with Enroll and return their continuation instead (see
-// step.go). Both are released by the same Signal/Broadcast, in the
-// same FIFO order.
 type WaitQueue struct {
 	waiters []*Proc
 }
@@ -18,22 +13,7 @@ func (q *WaitQueue) Len() int { return len(q.waiters) }
 // Wait parks p on the queue until a Signal or Broadcast releases it.
 func (q *WaitQueue) Wait(p *Proc) {
 	q.waiters = append(q.waiters, p)
-	p.waitq = q
 	p.park()
-}
-
-// Enroll parks a step proc on the queue at an activation boundary: p
-// is queued and marked waiting, but nothing blocks — the activation
-// must return its continuation, which runs when a Signal or Broadcast
-// releases p. Enrolling is the boundary-park analog of Wait and
-// occupies the same FIFO position a Wait at the same instant would.
-func (q *WaitQueue) Enroll(p *Proc) {
-	if p.killed || p.k.poisoned {
-		panic(errUnwind)
-	}
-	q.waiters = append(q.waiters, p)
-	p.waitq = q
-	p.state = stateWaiting
 }
 
 // Signal wakes the longest-waiting live process, if any, scheduling its
@@ -47,7 +27,6 @@ func (q *WaitQueue) Signal(k *Kernel) bool {
 		copy(q.waiters, q.waiters[1:])
 		q.waiters[len(q.waiters)-1] = nil
 		q.waiters = q.waiters[:len(q.waiters)-1]
-		p.waitq = nil
 		if p.state == stateDone || p.killed {
 			continue
 		}
@@ -65,7 +44,6 @@ func (q *WaitQueue) Signal(k *Kernel) bool {
 func (q *WaitQueue) Broadcast(k *Kernel) int {
 	n := 0
 	for _, p := range q.waiters {
-		p.waitq = nil
 		if p.state == stateDone || p.killed {
 			continue
 		}
@@ -88,14 +66,12 @@ func (q *WaitQueue) Broadcast(k *Kernel) int {
 // by a signal (false on timeout). Same-tick races are deterministic:
 // whichever event — the releasing wake or the timeout callback — was
 // pushed first wins, by the kernel's (time, seq) FIFO order. The timer
-// closure allocates and captures p beyond this park (so a step proc's
-// record is pinned against reuse); timed waits are not part of the
-// zero-alloc hot path; untimed Wait is unchanged.
+// closure allocates, so timed waits are not part of the zero-alloc hot
+// path; untimed Wait is unchanged.
 func (q *WaitQueue) WaitTimeout(p *Proc, d Time) bool {
 	if d < 0 {
 		panic("sim: negative wait timeout")
 	}
-	p.noRecycle = true
 	released := false
 	timedOut := false
 	p.k.Schedule(d, func() {
@@ -109,31 +85,15 @@ func (q *WaitQueue) WaitTimeout(p *Proc, d Time) bool {
 			copy(q.waiters[i:], q.waiters[i+1:])
 			q.waiters[len(q.waiters)-1] = nil
 			q.waiters = q.waiters[:len(q.waiters)-1]
-			p.waitq = nil
 			timedOut = true
 			p.k.push(p.k.now, evWake, p, nil)
 			return
 		}
 	})
 	q.waiters = append(q.waiters, p)
-	p.waitq = q
 	p.park()
 	released = true
 	return !timedOut
-}
-
-// remove deletes p from the queue if present — retirement cleanup, so
-// a recycled record can never be signaled by its old queue.
-func (q *WaitQueue) remove(p *Proc) {
-	for i, w := range q.waiters {
-		if w != p {
-			continue
-		}
-		copy(q.waiters[i:], q.waiters[i+1:])
-		q.waiters[len(q.waiters)-1] = nil
-		q.waiters = q.waiters[:len(q.waiters)-1]
-		return
-	}
 }
 
 // broadcastLocked is Broadcast for kernel-internal use (process
