@@ -9,7 +9,6 @@
 //	stampbench -experiment bank # run one experiment
 //	stampbench -list            # list experiment ids
 //	stampbench -parallel 8      # run the suite on 8 workers (0 = NumCPU)
-//	stampbench -bench-out F     # also write wall-clock timings as JSON to F
 //	stampbench -metrics-out DIR # also write DIR/<id>.prom per experiment
 //
 // Parallelism changes only wall-clock time: every experiment simulates
@@ -24,7 +23,6 @@ import (
 	"os"
 	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/experiments"
@@ -36,7 +34,6 @@ func main() {
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	asJSON := flag.Bool("json", false, "emit machine-readable JSON instead of tables")
 	parallel := flag.Int("parallel", 1, "worker goroutines for the full suite (0 = one per CPU; ignored with -experiment)")
-	benchOut := flag.String("bench-out", "", "write wall-clock suite timings as JSON to this file")
 	metricsDir := flag.String("metrics-out", "", "write one Prometheus-text metric dump per experiment into this directory")
 	doRace := flag.Bool("race", false, "attach the model-level race detector to every experiment; exit 1 if any race is found")
 	flag.Parse()
@@ -61,7 +58,6 @@ func main() {
 		return
 	}
 
-	start := time.Now()
 	var results []experiments.Result
 	switch {
 	case *exp != "":
@@ -75,16 +71,6 @@ func main() {
 		results = experiments.RunAllParallel(*parallel)
 	default:
 		results = experiments.RunAll()
-	}
-	wall := time.Since(start)
-
-	if *benchOut != "" {
-		rep := experiments.NewBenchReport(results, time.Now().UTC(), wall, *parallel)
-		rep.ShardScaling = measureShardScaling()
-		if err := rep.WriteFile(*benchOut); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
 	}
 
 	failed := 0
@@ -135,36 +121,4 @@ func main() {
 	if failed > 0 {
 		os.Exit(1)
 	}
-}
-
-// measureShardScaling times the sharded kernel's cross-chip ring
-// workload at 1, 2 and 4 shards and reports each row's speedup over
-// the sequential run. Results are bit-identical at every shard count
-// (the sharding experiment's golden pins that); only wall-clock — and
-// therefore this report — depends on the host. A warm-up run absorbs
-// one-time costs before measurement.
-func measureShardScaling() []experiments.ShardScalingRow {
-	const rounds = 2000
-	experiments.ShardScalingWorkload(1, 1, rounds) // warm-up
-	var rows []experiments.ShardScalingRow
-	var baseline time.Duration
-	for _, l := range []struct{ shards, workers int }{{1, 1}, {2, 2}, {4, 4}} {
-		start := time.Now()
-		experiments.ShardScalingWorkload(l.shards, l.workers, rounds)
-		elapsed := time.Since(start)
-		if l.shards == 1 {
-			baseline = elapsed
-		}
-		speedup := 0.0
-		if elapsed > 0 {
-			speedup = float64(baseline) / float64(elapsed)
-		}
-		rows = append(rows, experiments.ShardScalingRow{
-			Shards:    l.shards,
-			Workers:   l.workers,
-			WallNanos: elapsed.Nanoseconds(),
-			Speedup:   speedup,
-		})
-	}
-	return rows
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/adapt"
@@ -49,6 +50,16 @@ func equivJob() sched.Job {
 // returns the result, the controller and the plan.
 func runAdaptive(t *testing.T, costFree bool) (jacobi.Result, *adapt.Controller, *fault.Plan) {
 	t.Helper()
+	res, ad, pl, err := adaptiveRun(costFree)
+	if err != nil {
+		t.Fatalf("adaptive run: %v", err)
+	}
+	return res, ad, pl
+}
+
+// adaptiveRun is runAdaptive returning its error, for callers off the
+// test's goroutine.
+func adaptiveRun(costFree bool) (jacobi.Result, *adapt.Controller, *fault.Plan, error) {
 	sys := core.NewSystem(machine.Niagara(), core.WithObs(&obs.Observer{Reg: obs.NewRegistry()}))
 	pl := fault.ArmCoreFailures(sys, fault.CoreFailure{At: 1, Core: 2})
 	pl.EnableFailover(1 << 20) // ample warning; the run migrates long before the kill
@@ -65,79 +76,105 @@ func runAdaptive(t *testing.T, costFree bool) (jacobi.Result, *adapt.Controller,
 		Placement: equivPlacement(),
 		Adapt:     ad,
 	})
-	if err != nil {
-		t.Fatalf("adaptive run: %v", err)
-	}
-	return res, ad, pl
+	return res, ad, pl, err
 }
 
 // runStatic runs the same job with no controller on a fixed placement.
 func runStatic(t *testing.T, placement core.Placement) jacobi.Result {
 	t.Helper()
-	sys := core.NewSystem(machine.Niagara(), core.WithObs(&obs.Observer{Reg: obs.NewRegistry()}))
-	res, err := jacobi.Run(sys, jacobi.Config{
-		System:    workload.NewLinearSystem(equivProcs, equivSeed),
-		Iters:     equivIters,
-		Placement: placement,
-	})
+	res, err := staticRun(placement)
 	if err != nil {
 		t.Fatalf("static run: %v", err)
 	}
 	return res
 }
 
+// staticRun is runStatic returning its error, for callers off the
+// test's goroutine.
+func staticRun(placement core.Placement) (jacobi.Result, error) {
+	sys := core.NewSystem(machine.Niagara(), core.WithObs(&obs.Observer{Reg: obs.NewRegistry()}))
+	return jacobi.Run(sys, jacobi.Config{
+		System:    workload.NewLinearSystem(equivProcs, equivSeed),
+		Iters:     equivIters,
+		Placement: placement,
+	})
+}
+
 // TestMigrationEquivalence is the tentpole's oracle: with the move
 // charges zeroed, a run that live-migrates a member at a barrier
 // generation is bit-identical — solution vector, per-proc counters and
 // timestamps, and all four §2.1 metrics — to a static run placed on
-// the final placement from the start. Pinned across the shard/worker
-// matrix. The goroutines=true level of each subtest name records the
-// process-body kind; goroutine bodies are the only kind.
+// the final placement from the start. Each subtest shards the check
+// over N host goroutines (N = its shards and workers levels), which
+// run their adaptive/static pairs concurrently: controllers, fault
+// plans and observers on Systems sharing a process must stay apart.
+// The goroutines=true level records the process-body kind; goroutine
+// bodies are the only kind.
 func TestMigrationEquivalence(t *testing.T) {
-	layouts := []struct{ shards, workers int }{{1, 1}, {2, 2}, {4, 4}}
-	for _, l := range layouts {
-		name := fmt.Sprintf("goroutines=true/shards=%d/workers=%d", l.shards, l.workers)
+	for _, n := range []int{1, 2, 4} {
+		name := fmt.Sprintf("goroutines=true/shards=%d/workers=%d", n, n)
 		t.Run(name, func(t *testing.T) {
-			core.DefaultShards, core.DefaultShardWorkers = l.shards, l.workers
-			defer func() { core.DefaultShards, core.DefaultShardWorkers = 0, 0 }()
-
-			adRes, ad, pl := runAdaptive(t, true)
-			if ad.Migrations() == 0 {
-				t.Fatal("adaptive run performed no migrations")
+			var wg sync.WaitGroup
+			for s := 0; s < n; s++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					if diff := migrationEquivalence(); diff != "" {
+						t.Errorf("shard %d of %d: %s", s, n, diff)
+					}
+				}()
 			}
-			if ad.MigrationCost() != 0 {
-				t.Fatalf("cost-free run charged %g ticks", ad.MigrationCost())
-			}
-			if got := pl.Recovery(equivProcs, false); got != fault.RecoverMigrate {
-				t.Fatalf("recovery mode = %v, want migrate", got)
-			}
-			final := append(core.Placement(nil), adRes.Group.Placement()...)
-			if reflect.DeepEqual(final, equivPlacement()) {
-				t.Fatal("placement unchanged; migration did not move anyone")
-			}
-			cfg := machine.Niagara()
-			for i, th := range final {
-				if c := cfg.CoreOf(th); c == 2 {
-					t.Fatalf("member %d still on failed core 2 (thread %d)", i, th)
-				}
-			}
-
-			stRes := runStatic(t, final)
-			if !reflect.DeepEqual(adRes.X, stRes.X) {
-				t.Fatalf("solution diverged\nadaptive: %v\nstatic:   %v", adRes.X, stRes.X)
-			}
-			ra, rs := adRes.Report(), stRes.Report()
-			if !reflect.DeepEqual(ra, rs) {
-				t.Fatalf("group report diverged\nadaptive: %+v\nstatic:   %+v", ra, rs)
-			}
-			// The four §2.1 metrics, explicitly (already implied by
-			// the report equality).
-			ea, es := ra.Energy(), rs.Energy()
-			if ea.D != es.D || ea.PDP() != es.PDP() || ea.EDP() != es.EDP() || ea.ED2P() != es.ED2P() {
-				t.Fatalf("metrics diverged\nadaptive: %v\nstatic:   %v", ea, es)
-			}
+			wg.Wait()
 		})
 	}
+}
+
+// migrationEquivalence runs the cost-free adaptive scenario and its
+// static oracle and describes the first way they differ ("" when they
+// are bit-identical).
+func migrationEquivalence() string {
+	adRes, ad, pl, err := adaptiveRun(true)
+	if err != nil {
+		return fmt.Sprintf("adaptive run: %v", err)
+	}
+	if ad.Migrations() == 0 {
+		return "adaptive run performed no migrations"
+	}
+	if ad.MigrationCost() != 0 {
+		return fmt.Sprintf("cost-free run charged %g ticks", ad.MigrationCost())
+	}
+	if got := pl.Recovery(equivProcs, false); got != fault.RecoverMigrate {
+		return fmt.Sprintf("recovery mode = %v, want migrate", got)
+	}
+	final := append(core.Placement(nil), adRes.Group.Placement()...)
+	if reflect.DeepEqual(final, equivPlacement()) {
+		return "placement unchanged; migration did not move anyone"
+	}
+	cfg := machine.Niagara()
+	for i, th := range final {
+		if c := cfg.CoreOf(th); c == 2 {
+			return fmt.Sprintf("member %d still on failed core 2 (thread %d)", i, th)
+		}
+	}
+
+	stRes, err := staticRun(final)
+	if err != nil {
+		return fmt.Sprintf("static run: %v", err)
+	}
+	if !reflect.DeepEqual(adRes.X, stRes.X) {
+		return fmt.Sprintf("solution diverged\nadaptive: %v\nstatic:   %v", adRes.X, stRes.X)
+	}
+	ra, rs := adRes.Report(), stRes.Report()
+	if !reflect.DeepEqual(ra, rs) {
+		return fmt.Sprintf("group report diverged\nadaptive: %+v\nstatic:   %+v", ra, rs)
+	}
+	// The four §2.1 metrics, explicitly (already implied by the report
+	// equality).
+	ea, es := ra.Energy(), rs.Energy()
+	if ea.D != es.D || ea.PDP() != es.PDP() || ea.EDP() != es.EDP() || ea.ED2P() != es.ED2P() {
+		return fmt.Sprintf("metrics diverged\nadaptive: %v\nstatic:   %v", ea, es)
+	}
+	return ""
 }
 
 // TestMigrationChargesCost pins the real-cost accounting: each mover

@@ -519,21 +519,9 @@ func (c *Ctx) BroadcastAll(payload any) {
 
 // --- transactional execution -----------------------------------------
 
-// requireCoordinator panics when called from a process homed on a
-// non-coordinator shard: the STM (like queued shared memory) is
-// machine-global serialized state, touchable only under the
-// coordinator kernel's single-dispatch discipline. Shard-homed groups
-// communicate by message passing.
-func (c *Ctx) requireCoordinator(what string) {
-	if c.g.k != c.sys.K {
-		panic(fmt.Sprintf("core: %s from shard-homed group %q; STM and shared memory are coordinator-only — use message passing", what, c.g.name))
-	}
-}
-
 // Atomically runs body as a transaction on the system's STM (the
 // trans_exec attribute's realization).
 func (c *Ctx) Atomically(body func(tx *stm.Tx) error) (stm.Outcome, error) {
-	c.requireCoordinator("Atomically")
 	sp := c.beginTxSpan()
 	out, err := c.sys.TM.Atomically(c, body)
 	c.endTxSpan(sp, out, err)
@@ -544,7 +532,6 @@ func (c *Ctx) Atomically(body func(tx *stm.Tx) error) (stm.Outcome, error) {
 // tx.Retry() blocks this process until another transaction commits,
 // then re-executes.
 func (c *Ctx) AtomicallyWait(body func(tx *stm.Tx) error) (stm.Outcome, error) {
-	c.requireCoordinator("AtomicallyWait")
 	sp := c.beginTxSpan()
 	out, err := c.sys.TM.AtomicallyWait(c, body)
 	c.endTxSpan(sp, out, err)
@@ -554,7 +541,6 @@ func (c *Ctx) AtomicallyWait(body func(tx *stm.Tx) error) (stm.Outcome, error) {
 // AtomicallyOrElse composes two alternatives: if first retries, second
 // runs; if both retry, the process blocks until a commit.
 func (c *Ctx) AtomicallyOrElse(first, second func(tx *stm.Tx) error) (stm.Outcome, error) {
-	c.requireCoordinator("AtomicallyOrElse")
 	sp := c.beginTxSpan()
 	out, err := c.sys.TM.AtomicallyOrElse(c, first, second)
 	c.endTxSpan(sp, out, err)

@@ -18,7 +18,6 @@ type Group struct {
 	attrs     Attrs
 	n         int
 	ctxs      []*Ctx
-	k         *sim.Kernel // where members spawn: a shard, or sys.K
 	bar       *sim.Barrier
 	placement Placement
 
@@ -35,7 +34,6 @@ type GroupOption func(*groupConfig)
 type groupConfig struct {
 	placement  Placement
 	startOrder []int
-	byShard    bool
 }
 
 // WithPlacement overrides the default distribution-attribute placement
@@ -43,30 +41,6 @@ type groupConfig struct {
 // The power-aware allocator in internal/sched produces such placements.
 func WithPlacement(pl Placement) GroupOption {
 	return func(gc *groupConfig) { gc.placement = pl }
-}
-
-// ShardByPlacement opts the group into shard-homed execution: on a
-// sharded System, the group's processes spawn on the kernel shard
-// owning their placement's chip, so the group advances concurrently
-// with groups on other shards (under the conservative lookahead
-// window; see sim.ShardGroup). The contract:
-//
-//   - every member must be placed on the same shard (same chip, or
-//     chips mapped to one shard) — a spanning placement panics;
-//   - the group communicates only by message passing; shared memory
-//     and STM are coordinator-only and panic from a shard-homed
-//     process;
-//   - messages it exchanges with groups on other shards must cross a
-//     chip boundary (the lookahead is the minimum cross-chip delay);
-//   - a parent on another kernel cannot Await it.
-//
-// When the system is unsharded, or carries observers that require the
-// single-kernel discipline (tracer, obs sinks, fault injection, race
-// probe, checkpoint recorder), the option quietly demotes to the
-// coordinator kernel: results are identical either way — sharding
-// changes where work runs, never what it computes.
-func ShardByPlacement() GroupOption {
-	return func(gc *groupConfig) { gc.byShard = true }
 }
 
 // WithStartOrder overrides the order in which member processes are
@@ -104,24 +78,12 @@ func (sys *System) NewGroupOpts(name string, attrs Attrs, n int, body func(ctx *
 		panic(fmt.Sprintf("core: placement size %d != group size %d", len(pl), n))
 	}
 
-	k := sys.K
-	if gc.byShard && sys.shardSafe() {
-		s := sys.M.ShardOfThread(pl[0])
-		for _, t := range pl[1:] {
-			if sys.M.ShardOfThread(t) != s {
-				panic(fmt.Sprintf("core: ShardByPlacement group %q spans shards (placement %v)", name, pl))
-			}
-		}
-		k = sys.M.KernelFor(pl[0])
-	}
-
 	g := &Group{
 		sys:   sys,
 		name:  name,
 		attrs: attrs,
 		n:     n,
-		k:     k,
-		bar:   sim.NewBarrier(k, n),
+		bar:   sim.NewBarrier(sys.K, n),
 		// The group owns its placement: live migration (Ctx.Rebind)
 		// updates it in place, which must never reach back into the
 		// caller's slice (e.g. a sched.Decision reused for a second run).
@@ -152,10 +114,6 @@ func (sys *System) NewGroupOpts(name string, attrs Attrs, n int, body func(ctx *
 		pname := fmt.Sprintf("%s/%d", name, i)
 		ctx := &Ctx{sys: sys, g: g, idx: i, thread: pl[i]}
 		ctx.ep = sys.Net.NewEndpoint(pname, pl[i])
-		// The endpoint's wake kernel must be the one the member parks
-		// on — g.k, which for demoted groups differs from the thread's
-		// home shard.
-		ctx.ep.BindKernel(g.k)
 		ctx.prof = sys.Obs.Profiler().Proc(pname)
 		sys.M.Bind(pl[i])
 		g.ctxs[i] = ctx
@@ -167,7 +125,7 @@ func (sys *System) NewGroupOpts(name string, attrs Attrs, n int, body func(ctx *
 		}
 		ctx := g.ctxs[i]
 		pname := fmt.Sprintf("%s/%d", name, i)
-		ctx.p = g.k.Spawn(pname, func(p *sim.Proc) {
+		ctx.p = sys.K.Spawn(pname, func(p *sim.Proc) {
 			ctx.start = p.Now()
 			if s := ctx.restoreSnap; s != nil {
 				ctx.restoreSnap = nil
@@ -212,10 +170,6 @@ func (g *Group) Ctxs() []*Ctx { return g.ctxs }
 
 // Placement returns the thread assignment of the group.
 func (g *Group) Placement() Placement { return g.placement }
-
-// Kernel returns the kernel the group's members run on — a shard for
-// ShardByPlacement groups on a sharded system, sys.K otherwise.
-func (g *Group) Kernel() *sim.Kernel { return g.k }
 
 // Await blocks the calling STAMP process until every member of g has
 // finished — how a parent waits for a nested STAMP (rule 4 of §3.1).

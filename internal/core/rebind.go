@@ -22,16 +22,7 @@ import (
 // can be in the middle of being costed against the old coordinates.
 // Messages already in flight keep the cost computed at send time, like
 // a wire transfer that departed before the move.
-//
-// Shard-homed groups cannot rebind: their processes park on a shard
-// kernel keyed by thread coordinates, which a move would invalidate.
-// Systems running an adaptive controller attach observers, which
-// demotes every group to the coordinator kernel (see shardSafe), so
-// coordinator-window migration is exactly the supported configuration.
 func (c *Ctx) Rebind(th machine.ThreadID) {
-	if c.g.k != c.sys.K {
-		panic(fmt.Sprintf("core: Rebind from shard-homed group %q; live migration is coordinator-only", c.g.name))
-	}
 	if int(th) < 0 || int(th) >= c.sys.M.Cfg.NumThreads() {
 		panic(fmt.Sprintf("core: Rebind thread %d out of range", th))
 	}

@@ -2,19 +2,18 @@ package core
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/energy"
 	"repro/internal/machine"
-	"repro/internal/memory"
-	"repro/internal/msgpass"
 	"repro/internal/sim"
 )
 
-// shardRunDigest is everything observable a sharded run must reproduce
-// bit-identically: per-member completion times and operation counters,
-// plus the folded network statistics.
-type shardRunDigest struct {
+// ringDigest is everything observable about one ring run:
+// per-member completion times and operation counters, plus the network
+// statistics.
+type ringDigest struct {
 	End       [][]sim.Time
 	Counters  [][]energy.Counters
 	Delivered int64
@@ -23,26 +22,22 @@ type shardRunDigest struct {
 	MaxInbox  int
 }
 
-// runShardRing builds a clustered machine (2 clusters × 2 chips × 2
-// cores × 2 threads), homes one two-member group per chip via
-// ShardByPlacement, and runs a cross-chip message ring: rank 0 of each
-// chip computes, sends to the next chip, receives from the previous,
-// and barriers with its chip-mate each round. shards <= 1 builds the
-// sequential reference system.
-func runShardRing(t *testing.T, shards, workers int) shardRunDigest {
+// runRing builds a clustered machine (2 clusters × 2 chips × 2
+// cores × 2 threads), places one two-member group per chip, and runs a
+// cross-chip message ring: rank 0 of each chip computes, sends to the
+// next chip, receives from the previous, and barriers with its
+// chip-mate each round.
+func runRing(t *testing.T) ringDigest {
 	t.Helper()
 	cfg := machine.Cluster(2, 2, 2, 2)
-	var sys *System
-	if shards <= 1 {
-		sys = NewSystem(cfg)
-	} else {
-		sys = NewShardedSystem(cfg, shards, workers)
+	sys := NewSystem(cfg)
+	if sys.SG != nil {
+		t.Error("NewSystem set SG; every System runs on its one kernel")
 	}
 
-	const rounds = 5
 	nChips := cfg.Chips
 	perChip := cfg.CoresPerChip * cfg.ThreadsPerCore
-	dig := shardRunDigest{
+	dig := ringDigest{
 		End:      make([][]sim.Time, nChips),
 		Counters: make([][]energy.Counters, nChips),
 	}
@@ -59,7 +54,7 @@ func runShardRing(t *testing.T, shards, workers int) shardRunDigest {
 			func(c *Ctx) {
 				if c.Index() == 0 {
 					next := groups[(chip+1)%nChips].Ctxs()[0].Endpoint()
-					for r := 0; r < rounds; r++ {
+					for r := 0; r < ringRounds; r++ {
 						c.IntOps(int64(3 + chip + r))
 						c.Endpoint().Send(c, next, chip*100+r)
 						m := c.Recv()
@@ -69,17 +64,18 @@ func runShardRing(t *testing.T, shards, workers int) shardRunDigest {
 						c.Barrier()
 					}
 				} else {
-					for r := 0; r < rounds; r++ {
+					for r := 0; r < ringRounds; r++ {
 						c.FpOps(int64(2 + chip))
 						c.Barrier()
 					}
 				}
 				dig.End[chip][c.Index()] = c.Now()
 			},
-			WithPlacement(pl), ShardByPlacement())
+			WithPlacement(pl))
 	}
 	if err := sys.Run(); err != nil {
-		t.Fatalf("shards=%d workers=%d: %v", shards, workers, err)
+		t.Errorf("ring: %v", err)
+		return dig
 	}
 	for chip, g := range groups {
 		for i, c := range g.Ctxs() {
@@ -93,107 +89,38 @@ func runShardRing(t *testing.T, shards, workers int) shardRunDigest {
 	return dig
 }
 
-// TestShardedSystemEquivalence pins the tentpole property at the core
-// layer: a sharded system is bit-identical to the sequential one for
-// every shard and worker count, and the DisableSharding escape hatch
-// collapses NewShardedSystem to the sequential path.
+const ringRounds = 5
+
+// TestShardedSystemEquivalence shards the cross-chip ring over host
+// goroutines: 2 and 4 Systems run it at once, and every copy must be
+// bit-identical to a run alone — a System shares no mutable state with
+// the others in its process. The lone run's network totals must match
+// the ring's closed form: one delivery per chip per round, and per
+// round two cluster-internal (L_x) and two cross-cluster (L_c) hops.
 func TestShardedSystemEquivalence(t *testing.T) {
-	ref := runShardRing(t, 0, 0)
-	if ref.Delivered == 0 {
-		t.Fatal("reference run delivered no messages")
+	ref := runRing(t)
+	costs := machine.Cluster(2, 2, 2, 2).Costs
+	if ref.Delivered != 4*ringRounds {
+		t.Fatalf("delivered %d, want %d", ref.Delivered, 4*ringRounds)
 	}
-	layouts := []struct{ shards, workers int }{
-		{2, 1}, {2, 2}, {4, 1}, {4, 2}, {4, 4},
+	if want := ringRounds * (2*costs.EffLX() + 2*costs.EffLC()); ref.Wire != want {
+		t.Fatalf("wire %d, want %d", ref.Wire, want)
 	}
-	for _, l := range layouts {
-		got := runShardRing(t, l.shards, l.workers)
-		if !reflect.DeepEqual(got, ref) {
-			t.Errorf("shards=%d workers=%d diverged from sequential:\n got %+v\nwant %+v",
-				l.shards, l.workers, got, ref)
+	for _, copies := range []int{2, 4} {
+		got := make([]ringDigest, copies)
+		var wg sync.WaitGroup
+		for i := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[i] = runRing(t)
+			}()
+		}
+		wg.Wait()
+		for i, g := range got {
+			if !reflect.DeepEqual(g, ref) {
+				t.Errorf("copy %d of %d diverged from the lone run:\n got %+v\nwant %+v", i, copies, g, ref)
+			}
 		}
 	}
-
-	DisableSharding = true
-	defer func() { DisableSharding = false }()
-	got := runShardRing(t, 4, 4)
-	if !reflect.DeepEqual(got, ref) {
-		t.Error("DisableSharding run diverged from sequential")
-	}
 }
-
-// TestDefaultShardsReroutesNewSystem pins the corpus-wide switch: with
-// DefaultShards set, plain NewSystem builds a sharded system.
-func TestDefaultShardsReroutesNewSystem(t *testing.T) {
-	DefaultShards, DefaultShardWorkers = 2, 2
-	defer func() { DefaultShards, DefaultShardWorkers = 0, 0 }()
-	sys := NewSystem(machine.Cluster(2, 2, 2, 2))
-	if sys.SG == nil || sys.SG.NumShards() != 2 {
-		t.Fatalf("NewSystem under DefaultShards=2 built SG=%v", sys.SG)
-	}
-	if sys.K != sys.SG.Shard(0) {
-		t.Fatal("coordinator kernel must be shard 0")
-	}
-	// Shards are clamped to the chip count.
-	DefaultShards = 64
-	sys = NewSystem(machine.Cluster(2, 2, 2, 2))
-	if sys.SG == nil || sys.SG.NumShards() != 4 {
-		t.Fatalf("shards not clamped to chips: %v", sys.SG)
-	}
-}
-
-// TestShardHomedMemoryAccessPanics pins the guard: shared memory is
-// coordinator-only, and a shard-homed process touching it fails loudly
-// instead of racing.
-func TestShardHomedMemoryAccessPanics(t *testing.T) {
-	cfg := machine.Cluster(2, 2, 2, 2)
-	sys := NewShardedSystem(cfg, 4, 1)
-	reg := memory.NewRegion[int](sys.Mem, "shared", memory.Inter, 0, 4)
-	perChip := cfg.CoresPerChip * cfg.ThreadsPerCore
-	// A group homed on shard 3 (chip 3).
-	pl := Placement{machine.ThreadID(3 * perChip)}
-	sys.NewGroupOpts("offshard", Attrs{}, 1, func(c *Ctx) {
-		reg.Read(c, 0)
-	}, WithPlacement(pl), ShardByPlacement())
-	err := sys.Run()
-	if err == nil {
-		t.Fatal("expected the run to fail")
-	}
-}
-
-// TestShardByPlacementDemotesUnderObservers pins the demotion rule: a
-// system carrying a tracer keeps every group on the coordinator, so
-// observers never see cross-shard interleavings.
-func TestShardByPlacementDemotesUnderObservers(t *testing.T) {
-	cfg := machine.Cluster(2, 2, 2, 2)
-	sys := NewShardedSystem(cfg, 4, 1)
-	sys.Net.SetProbe(nopProbe{})
-	perChip := cfg.CoresPerChip * cfg.ThreadsPerCore
-	pl := Placement{machine.ThreadID(3 * perChip)}
-	g := sys.NewGroupOpts("observed", Attrs{}, 1, func(c *Ctx) { c.IntOps(1) },
-		WithPlacement(pl), ShardByPlacement())
-	if g.Kernel() != sys.K {
-		t.Fatal("group with a probe installed must demote to the coordinator")
-	}
-	if err := sys.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestShardByPlacementSpanningPanics pins the placement contract.
-func TestShardByPlacementSpanningPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("spanning placement did not panic")
-		}
-	}()
-	cfg := machine.Cluster(2, 2, 2, 2)
-	sys := NewShardedSystem(cfg, 4, 1)
-	perChip := cfg.CoresPerChip * cfg.ThreadsPerCore
-	pl := Placement{0, machine.ThreadID(3 * perChip)} // chips 0 and 3
-	sys.NewGroupOpts("spanning", Attrs{}, 2, func(c *Ctx) {}, WithPlacement(pl), ShardByPlacement())
-}
-
-type nopProbe struct{}
-
-func (nopProbe) MsgSend(src, dst *msgpass.Endpoint, p *sim.Proc) uint64   { return 1 }
-func (nopProbe) MsgRecv(dst *msgpass.Endpoint, p *sim.Proc, token uint64) {}

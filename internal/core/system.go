@@ -17,24 +17,6 @@ import (
 	"repro/internal/trace"
 )
 
-// DisableSharding forces every System onto a single sequential kernel
-// even when sharding is requested — the escape hatch mirroring
-// sim.Kernel.DisableFastPath: equivalence tests
-// run the same workload both ways and compare bit-for-bit, and it
-// isolates the sharded scheduler while debugging.
-var DisableSharding bool
-
-// DefaultShards and DefaultShardWorkers, when DefaultShards > 1, make
-// NewSystem build sharded systems (clamped to the chip count) without
-// touching call sites — how the experiment golden matrix and the
-// racedet/ckpt fuzz suites run the entire existing corpus under the
-// sharded kernel. Zero values (the default) build plain sequential
-// systems.
-var (
-	DefaultShards       int
-	DefaultShardWorkers int
-)
-
 // System bundles one simulated machine with its substrates: queued
 // shared memory, the message-passing network and the transactional
 // memory. STAMP process groups are spawned on a System.
@@ -45,11 +27,14 @@ type System struct {
 	Net *msgpass.Network
 	TM  *stm.STM
 
-	// SG is the shard group driving a sharded system (nil when the
-	// system runs on one sequential kernel). K is always shard 0, the
-	// coordinator: groups without a ShardByPlacement opt-in, and all
-	// shared-memory and STM traffic, live there.
-	SG *sim.ShardGroup
+	// SG is always nil: every System runs on the one kernel K. The
+	// field remains only because perfbench/layers.go still reads it and
+	// changes only together with the benchmark; drop that read, then
+	// this field.
+	SG interface {
+		NumShards() int
+		Shard(i int) *sim.Kernel
+	}
 
 	// Tracer, when non-nil, records structured execution events
 	// (S-round boundaries, communication, transaction outcomes).
@@ -110,47 +95,15 @@ func AddGlobalOption(o Option) (remove func()) {
 }
 
 // NewSystem builds a System on a fresh kernel for machine configuration
-// cfg — or, when DefaultShards asks for it, a sharded system.
+// cfg.
 func NewSystem(cfg machine.Config, opts ...Option) *System {
-	if !DisableSharding && DefaultShards > 1 {
-		return NewShardedSystem(cfg, DefaultShards, DefaultShardWorkers, opts...)
-	}
-	k := sim.NewKernel()
-	return finishSystem(machine.New(k, cfg), nil, opts)
-}
-
-// NewShardedSystem builds a System whose chips are partitioned over
-// `shards` concurrently-advancing kernels (clamped to the chip count)
-// dispatched by up to `workers` host goroutines per lookahead window.
-// The lookahead is the machine's minimum cross-chip message delay
-// (Config.InterChipLookahead). Results are bit-identical to the
-// sequential system for any shard and worker count; DisableSharding or
-// shards ≤ 1 falls back to a plain sequential system.
-func NewShardedSystem(cfg machine.Config, shards, workers int, opts ...Option) *System {
-	if shards > cfg.Chips {
-		shards = cfg.Chips
-	}
-	if DisableSharding || shards <= 1 {
-		k := sim.NewKernel()
-		return finishSystem(machine.New(k, cfg), nil, opts)
-	}
-	sg := sim.NewShardGroup(shards, cfg.InterChipLookahead())
-	if workers > 1 {
-		sg.Workers = workers
-	}
-	return finishSystem(machine.NewSharded(sg, cfg), sg, opts)
-}
-
-// finishSystem assembles the substrates on machine m and applies the
-// global and per-call options.
-func finishSystem(m *machine.Machine, sg *sim.ShardGroup, opts []Option) *System {
+	m := machine.New(sim.NewKernel(), cfg)
 	sys := &System{
 		K:   m.K,
 		M:   m,
 		Mem: memory.New(m),
 		Net: msgpass.New(m),
 		TM:  stm.New(m, nil),
-		SG:  sg,
 	}
 	for _, o := range globalOpts {
 		if o != nil {
@@ -164,25 +117,8 @@ func finishSystem(m *machine.Machine, sg *sim.ShardGroup, opts []Option) *System
 }
 
 // Run executes the simulation to completion and returns the kernel's
-// (or, sharded, the shard group's) error, if any.
-func (sys *System) Run() error {
-	if sys.SG != nil {
-		return sys.SG.Run()
-	}
-	return sys.K.Run()
-}
-
-// shardSafe reports whether groups may be homed on non-coordinator
-// shards: the system is sharded and carries no observer that assumes
-// the single-kernel discipline (structured tracer, observability
-// sinks, network fault injector / race probe / delivery recorder —
-// each is consulted synchronously across the whole machine and would
-// race between concurrently-dispatching shards). Observers installed
-// after groups are created are not seen by this check, so attach them
-// before spawning work.
-func (sys *System) shardSafe() bool {
-	return sys.SG != nil && sys.Tracer == nil && sys.Obs == nil && sys.Net.ObserverFree()
-}
+// error, if any.
+func (sys *System) Run() error { return sys.K.Run() }
 
 // Groups returns every group spawned on the system, in creation order.
 func (sys *System) Groups() []*Group { return sys.groups }

@@ -28,11 +28,11 @@ func RunAllParallel(workers int) []Result {
 	var wg sync.WaitGroup
 	idx := make(chan int)
 	for w := 0; w < workers; w++ {
-		//stamplint:allow shardsafe: harness fan-out across whole experiments, each its own deterministic run
+		//stamplint:allow determinism: harness fan-out across whole experiments, each its own deterministic run
 		wg.Add(1)
-		//stamplint:allow shardsafe: harness fan-out across whole experiments, each its own deterministic run
+		//stamplint:allow determinism: harness fan-out across whole experiments, each its own deterministic run
 		go func() {
-			//stamplint:allow shardsafe: harness fan-out across whole experiments, each its own deterministic run
+			//stamplint:allow determinism: harness fan-out across whole experiments, each its own deterministic run
 			defer wg.Done()
 			for i := range idx {
 				out[i], _ = Run(ids[i])
@@ -40,11 +40,11 @@ func RunAllParallel(workers int) []Result {
 		}()
 	}
 	for i := range ids {
-		//stamplint:allow shardsafe: harness work distribution, outside any simulated run
+		//stamplint:allow determinism: harness work distribution, outside any simulated run
 		idx <- i
 	}
 	close(idx)
-	//stamplint:allow shardsafe: harness fan-out across whole experiments, each its own deterministic run
+	//stamplint:allow determinism: harness fan-out across whole experiments, each its own deterministic run
 	wg.Wait()
 	return out
 }

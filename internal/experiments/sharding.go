@@ -8,37 +8,25 @@ import (
 	"repro/internal/sim"
 )
 
+// The id is fixed: the repo benchmark (BENCHMARK.json) reports this
+// experiment's wall time as experiments.sharding.ms.
 func init() {
-	register("sharding", "sharded kernel: cross-chip ring under conservative lookahead, bit-identical at every shard count", runSharding)
+	register("sharding", "clusters of chips: cross-chip message ring over the L_x/L_c tiers", runClusterRing)
 }
 
-// shardingDigest is every observable a sharded run must reproduce:
-// final virtual time and energy per chip group plus the folded network
-// statistics.
-type shardingDigest struct {
-	t         []sim.Time
-	e         []float64
-	delivered int64
-	wire      sim.Time
-}
+// ringRounds is the number of rounds the ring runs.
+const ringRounds = 12
 
-// runShardingRing runs the cross-chip message ring on a clustered
-// machine (2 clusters × 2 chips × 2 cores × 2 threads): one
-// ShardByPlacement group per chip whose rank 0 computes, sends to the
-// next chip and receives from the previous one each round, while rank 1
-// computes and barriers. shards <= 1 builds the sequential system.
-func runShardingRing(shards int) shardingDigest {
-	return runShardingRingRounds(shards, 2, 12)
-}
-
-func runShardingRingRounds(shards, workers, rounds int) shardingDigest {
+// runClusterRing runs a cross-chip message ring on a clustered machine
+// (2 clusters × 2 chips × 2 cores × 2 threads): one group per chip
+// whose rank 0 computes, sends to the next chip and receives from the
+// previous one each round, while rank 1 computes and barriers. The
+// ring's four hops alternate cluster-internal (L_x) and cross-cluster
+// (L_c) links, so its summed wire time has a closed form. The table
+// reports per-chip completion time and energy plus the network totals.
+func runClusterRing() Result {
 	cfg := machine.Cluster(2, 2, 2, 2)
-	var sys *core.System
-	if shards <= 1 {
-		sys = core.NewSystem(cfg)
-	} else {
-		sys = core.NewShardedSystem(cfg, shards, workers)
-	}
+	sys := core.NewSystem(cfg)
 
 	nChips := cfg.Chips
 	perChip := cfg.CoresPerChip * cfg.ThreadsPerCore
@@ -54,9 +42,8 @@ func runShardingRingRounds(shards, workers, rounds int) shardingDigest {
 			len(pl),
 			func(c *core.Ctx) {
 				if c.Index() == 0 {
-					//stamplint:allow shardsafe: groups is fully populated before Run and read-only afterwards
 					next := groups[(chip+1)%nChips].Ctxs()[0].Endpoint()
-					for r := 0; r < rounds; r++ {
+					for r := 0; r < ringRounds; r++ {
 						c.SRound(func() {
 							c.IntOps(int64(5 + chip + r))
 							c.Endpoint().Send(c, next, chip*1000+r)
@@ -65,7 +52,7 @@ func runShardingRingRounds(shards, workers, rounds int) shardingDigest {
 						})
 					}
 				} else {
-					for r := 0; r < rounds; r++ {
+					for r := 0; r < ringRounds; r++ {
 						c.SRound(func() {
 							c.FpOps(int64(3 + chip))
 							c.Barrier()
@@ -73,64 +60,26 @@ func runShardingRingRounds(shards, workers, rounds int) shardingDigest {
 					}
 				}
 			},
-			core.WithPlacement(pl), core.ShardByPlacement())
+			core.WithPlacement(pl))
 	}
 	if err := sys.Run(); err != nil {
-		panic(fmt.Sprintf("sharding experiment (shards=%d): %v", shards, err))
+		panic(fmt.Sprintf("sharding experiment: %v", err))
 	}
-	dig := shardingDigest{delivered: sys.Net.Delivered(), wire: sys.Net.WireTicks()}
-	for _, g := range groups {
-		rep := g.Report()
-		dig.t = append(dig.t, rep.T())
-		dig.e = append(dig.e, rep.E())
-	}
-	return dig
-}
 
-// ShardScalingWorkload runs the cross-chip ring at the given shard and
-// worker count with enough rounds to be wall-clock measurable — the
-// workload behind the bench report's shard-scaling rows (stampbench
-// -bench-out). It returns the delivered message count so callers can
-// sanity-check that every shard count simulated the same traffic.
-func ShardScalingWorkload(shards, workers, rounds int) int64 {
-	return runShardingRingRounds(shards, workers, rounds).delivered
-}
-
-// runSharding is the shard-scaling experiment: the same cross-chip
-// ring executed sequentially and under the sharded kernel at 2 and 4
-// shards. The table reports per-chip completion time and energy; the
-// checks pin the tentpole property — every shard count reproduces the
-// sequential run bit-for-bit. Wall-clock scaling is measured by the
-// bench harness (stampbench -bench-out), not here: goldens must not
-// depend on the host.
-func runSharding() Result {
+	delivered, wire := sys.Net.Delivered(), sys.Net.WireTicks()
 	t := newTable()
-	t.row("shards", "chip", "T", "E", "delivered", "wire")
-	var checks []Check
-
-	ref := runShardingRing(1)
-	for _, shards := range []int{1, 2, 4} {
-		dig := runShardingRing(shards)
-		for chip := range dig.t {
-			t.row(shards, chip, dig.t[chip], fmt.Sprintf("%.0f", dig.e[chip]),
-				dig.delivered, dig.wire)
-		}
-		if shards == 1 {
-			continue
-		}
-		same := dig.delivered == ref.delivered && dig.wire == ref.wire
-		for chip := range ref.t {
-			if dig.t[chip] != ref.t[chip] || dig.e[chip] != ref.e[chip] {
-				same = false
-			}
-		}
-		checks = append(checks, check(
-			fmt.Sprintf("%d shards bit-identical to sequential", shards),
-			same, ""))
+	t.row("chip", "T", "E", "delivered", "wire")
+	for chip, g := range groups {
+		rep := g.Report()
+		t.row(chip, rep.T(), fmt.Sprintf("%.0f", rep.E()), delivered, wire)
 	}
-	checks = append(checks, check(
-		"ring delivered one message per chip per round",
-		ref.delivered == int64(4*12), "got %d", ref.delivered))
-
+	lx, lc := cfg.Costs.EffLX(), cfg.Costs.EffLC()
+	wantWire := sim.Time(ringRounds) * (2*lx + 2*lc)
+	checks := []Check{
+		check("ring delivered one message per chip per round",
+			delivered == int64(nChips*ringRounds), "got %d", delivered),
+		check(fmt.Sprintf("wire = %d·(2·L_x + 2·L_c) = %d (L_x=%d, L_c=%d)", ringRounds, wantWire, lx, lc),
+			wire == wantWire, "got %d", wire),
+	}
 	return Result{ID: "sharding", Title: Title("sharding"), Table: t.String(), Checks: checks}
 }

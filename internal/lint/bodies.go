@@ -2,7 +2,6 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 )
 
@@ -12,10 +11,8 @@ var groupCtors = map[string]bool{"NewGroup": true, "NewGroupOpts": true}
 
 // groupBody is one group-body callback found at a spawn call site.
 type groupBody struct {
-	call    *ast.CallExpr
-	lit     *ast.FuncLit // inline or ident-bound literal; nil when the body is a named function
-	decl    *ast.FuncDecl
-	sharded bool // spawn call passes core.ShardByPlacement()
+	lit  *ast.FuncLit // inline or ident-bound literal; nil when the body is a named function
+	decl *ast.FuncDecl
 }
 
 func (b groupBody) bodyNode() ast.Node {
@@ -105,7 +102,7 @@ func groupBodiesIn(p *Pkg, f *ast.File) []groupBody {
 		if fn == nil || !groupCtors[fn.Name()] || fn.Signature().Recv() == nil || len(call.Args) < 4 {
 			return true
 		}
-		b := groupBody{call: call}
+		var b groupBody
 		switch arg := ast.Unparen(call.Args[3]).(type) {
 		case *ast.FuncLit:
 			b.lit = arg
@@ -117,62 +114,12 @@ func groupBodiesIn(p *Pkg, f *ast.File) []groupBody {
 				}
 			}
 		}
-		for _, arg := range call.Args[4:] {
-			if oc, ok := ast.Unparen(arg).(*ast.CallExpr); ok {
-				if ofn := coreFunc(p, oc); ofn != nil && ofn.Name() == "ShardByPlacement" {
-					b.sharded = true
-				}
-			}
-		}
 		if b.bodyNode() != nil {
 			out = append(out, b)
 		}
 		return true
 	})
 	return out
-}
-
-// writtenObjs returns every variable the package mutates after its
-// declaration: assigned, incremented, stored through (x[i] = v,
-// x.f = v, *x = v) or address-taken. := definitions do not count —
-// initialization is not mutation.
-func writtenObjs(p *Pkg) map[types.Object]bool {
-	written := map[types.Object]bool{}
-	mark := func(e ast.Expr) {
-		if id := baseIdent(e); id != nil {
-			if obj := p.Info.Uses[id]; obj != nil {
-				written[obj] = true
-			}
-		}
-	}
-	for _, f := range p.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch s := n.(type) {
-			case *ast.AssignStmt:
-				// mark resolves through Info.Uses, so a := definition
-				// (Defs) is not mutation while reassignment (Uses) is —
-				// including the reused names of a mixed x, y := ....
-				for _, lhs := range s.Lhs {
-					mark(lhs)
-				}
-			case *ast.IncDecStmt:
-				mark(s.X)
-			case *ast.UnaryExpr:
-				if s.Op == token.AND {
-					mark(s.X)
-				}
-			case *ast.RangeStmt:
-				if s.Tok == token.ASSIGN && s.Key != nil {
-					mark(s.Key)
-					if s.Value != nil {
-						mark(s.Value)
-					}
-				}
-			}
-			return true
-		})
-	}
-	return written
 }
 
 // baseIdent unwraps an lvalue to the identifier it mutates through:
@@ -194,56 +141,4 @@ func baseIdent(e ast.Expr) *ast.Ident {
 			return nil
 		}
 	}
-}
-
-// freeVars returns the variables lit references that are declared
-// outside it (its captures), with the position of the first use.
-// The blank identifier and struct fields are excluded.
-func freeVars(p *Pkg, lit *ast.FuncLit) map[*types.Var]token.Pos {
-	out := map[*types.Var]token.Pos{}
-	ast.Inspect(lit, func(n ast.Node) bool {
-		id, ok := n.(*ast.Ident)
-		if !ok || id.Name == "_" {
-			return true
-		}
-		v, ok := p.Info.Uses[id].(*types.Var)
-		if !ok || v.IsField() {
-			return true
-		}
-		if v.Pos() >= lit.Pos() && v.Pos() <= lit.End() {
-			return true // declared inside the literal (params included)
-		}
-		if _, seen := out[v]; !seen {
-			out[v] = id.Pos()
-		}
-		return true
-	})
-	return out
-}
-
-// loopsIn collects every for/range statement span in f.
-type loopSpan struct{ start, end token.Pos }
-
-func loopsIn(f *ast.File) []loopSpan {
-	var out []loopSpan
-	ast.Inspect(f, func(n ast.Node) bool {
-		switch n.(type) {
-		case *ast.ForStmt, *ast.RangeStmt:
-			out = append(out, loopSpan{n.Pos(), n.End()})
-		}
-		return true
-	})
-	return out
-}
-
-// enclosingLoops returns the loops whose span strictly contains pos,
-// innermost last.
-func enclosingLoops(loops []loopSpan, pos token.Pos) []loopSpan {
-	var out []loopSpan
-	for _, l := range loops {
-		if l.start < pos && pos < l.end {
-			out = append(out, l)
-		}
-	}
-	return out
 }

@@ -34,7 +34,7 @@ import (
 func Chargeflow() *Analyzer {
 	return &Analyzer{
 		Name: "chargeflow",
-		Doc:  "flag uncharged data loops in charged contexts (group bodies, Ctx helpers, step segments)",
+		Doc:  "flag uncharged data loops in charged contexts (group bodies, Ctx helpers) and *core.Ctx retained in package state",
 		Run: func(p *Pkg) []Finding {
 			// The mechanism is outside the cost model by definition; the
 			// observer packages watch a run without charging it by design.

@@ -11,7 +11,10 @@
 //
 //   - determinism: no wall-clock time or global math/rand in the
 //     deterministic packages (the simulator and everything above it
-//     must be a pure function of its inputs);
+//     must be a pure function of its inputs), and no raw goroutines,
+//     channel ops or sync locking in them or reachable from a group
+//     body — host concurrency runs on the host clock, invisible to
+//     virtual time;
 //   - maprange: no map iteration in those packages unless the order
 //     provably cannot reach an observable output (annotate why);
 //   - backdoor: no uncharged memory/STM escapes (Peek, Poke, Fill,
@@ -22,10 +25,6 @@
 //     structural grammar);
 //   - ckptsafe: no region element types the checkpoint layer cannot
 //     serialize (raw pointers, funcs, channels, interfaces);
-//   - shardsafe: no mutable state shared between group bodies that can
-//     be homed to different shards, and no raw goroutines, channel ops
-//     or sync locking reachable from simulated code — both bypass
-//     virtual time and break the bit-identical sharding guarantee;
 //   - chargeflow: no loops over data inside charged contexts (group
 //     bodies, Ctx-taking helpers) whose work is never charged to the
 //     model — unaccounted compute silently corrupts T, E, P and the
@@ -77,7 +76,6 @@ func Analyzers() []*Analyzer {
 		Backdoor(),
 		SRound(),
 		Ckptsafe(),
-		Shardsafe(),
 		Chargeflow(),
 	}
 }

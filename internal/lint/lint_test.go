@@ -31,8 +31,6 @@ type Group struct{}
 type System struct{}
 type GroupOption struct{}
 
-func ShardByPlacement() GroupOption { return GroupOption{} }
-
 func (s *System) NewGroup(name string, a Attrs, n int, body func(*Ctx)) *Group { return &Group{} }
 func (s *System) NewGroupOpts(name string, a Attrs, n int, body func(*Ctx), opts ...GroupOption) *Group {
 	return &Group{}
@@ -187,33 +185,11 @@ func Regions() {
 }
 `,
 
-	// Shardsafe: shared mutable captures across shard-homed bodies, and
-	// raw concurrency reachable from a group body via the summaries.
-	"shard/shard.go": `package shard
+	// Determinism: raw concurrency reachable from a group body via the
+	// summaries, outside any deterministic package.
+	"host/host.go": `package host
 
 import "repro/internal/core"
-
-func SpawnLoop(sys *core.System) {
-	total := int64(0)
-	for chip := 0; chip < 4; chip++ {
-		sys.NewGroupOpts("g", core.Attrs{}, 2, func(ctx *core.Ctx) {
-			ctx.SUnit(func() { ctx.SRound(func() { ctx.IntOps(1) }) })
-			total++ // finding: shardsafe (loop-shared mutable capture)
-		}, core.ShardByPlacement())
-		_ = chip
-	}
-	_ = total
-}
-
-func TwoSites(sys *core.System) {
-	shared := make([]int64, 8)
-	sys.NewGroupOpts("a", core.Attrs{}, 2, func(ctx *core.Ctx) {
-		ctx.SUnit(func() { ctx.SRound(func() { shared[0]++; ctx.IntOps(1) }) }) // finding: shardsafe
-	}, core.ShardByPlacement())
-	sys.NewGroupOpts("b", core.Attrs{}, 2, func(ctx *core.Ctx) {
-		ctx.SUnit(func() { ctx.SRound(func() { shared[1]++; ctx.IntOps(1) }) }) // finding: shardsafe
-	}, core.ShardByPlacement())
-}
 
 func spawnHelper() {
 	go func() {}()
@@ -222,28 +198,21 @@ func spawnHelper() {
 func Reaches(sys *core.System) {
 	sys.NewGroup("r", core.Attrs{}, 1, func(ctx *core.Ctx) {
 		ctx.SUnit(func() { ctx.SRound(func() { ctx.IntOps(1) }) })
-		spawnHelper() // finding: shardsafe (reaches a raw go via the summary)
+		spawnHelper() // finding: determinism (reaches a raw go via the summary)
 	})
-}
-
-func ReadOnly(sys *core.System) {
-	input := []int64{1, 2, 3}
-	sys.NewGroupOpts("ro", core.Attrs{}, 2, func(ctx *core.Ctx) {
-		ctx.SUnit(func() { ctx.SRound(func() { ctx.IntOps(input[0]) }) }) // fine: never mutated
-	}, core.ShardByPlacement())
 }
 `,
 
-	// Shardsafe: direct raw concurrency in a deterministic package.
+	// Determinism: direct raw concurrency in a deterministic package.
 	"internal/experiments/exp.go": `package experiments
 
 func HostSpawn(done chan struct{}) {
-	go func() { done <- struct{}{} }() // findings: shardsafe (go stmt + send)
-	<-done                             // finding: shardsafe (receive)
+	go func() { done <- struct{}{} }() // findings: determinism (go stmt + send)
+	<-done                             // finding: determinism (receive)
 }
 
 func Allowed(done chan struct{}) {
-	//stamplint:allow shardsafe: harness-level fan-out outside the simulated run
+	//stamplint:allow determinism: harness-level fan-out outside the simulated run
 	<-done
 }
 `,
@@ -348,31 +317,28 @@ func TestFixtureFindings(t *testing.T) {
 	res := analyzeFixture(t)
 
 	want := []struct{ check, site string }{
-		{"determinism", "internal/sim/sim.go:9"},       // time.Now
-		{"determinism", "internal/sim/sim.go:10"},      // rand.Intn
-		{"maprange", "internal/sim/sim.go:21"},         // BadWalk
-		{"annotation", "internal/sim/sim.go:39"},       // unused
-		{"annotation", "internal/sim/sim.go:42"},       // no reason
-		{"annotation", "internal/sim/sim.go:45"},       // unknown check
-		{"backdoor", "use/use.go:9"},                   // Peek in Extract
-		{"sround", "use/use.go:19"},                    // Roundless body
-		{"sround", "use/use.go:25"},                    // ViaVar body
-		{"sround", "use/use.go:44"},                    // nested round
-		{"sround", "use/use.go:45"},                    // unit inside round
-		{"sround", "use/use.go:48"},                    // nested unit
-		{"ckptsafe", "use/use.go:60"},                  // chan field
-		{"ckptsafe", "use/use.go:61"},                  // pointer element
-		{"ckptsafe", "use/use.go:62"},                  // func element
-		{"ckptsafe", "use/use.go:63"},                  // interface element
-		{"shardsafe", "shard/shard.go:10"},             // loop-shared capture
-		{"shardsafe", "shard/shard.go:20"},             // two-site capture (a)
-		{"shardsafe", "shard/shard.go:23"},             // two-site capture (b)
-		{"shardsafe", "shard/shard.go:34"},             // reaches raw go via summary
-		{"shardsafe", "internal/experiments/exp.go:4"}, // raw go stmt + send (two findings)
-		{"shardsafe", "internal/experiments/exp.go:4"},
-		{"shardsafe", "internal/experiments/exp.go:5"}, // raw receive
-		{"chargeflow", "charge/charge.go:7"},           // uncharged data loop
-		{"chargeflow", "charge/charge.go:42"},          // Ctx retained in package state
+		{"determinism", "internal/sim/sim.go:9"},         // time.Now
+		{"determinism", "internal/sim/sim.go:10"},        // rand.Intn
+		{"maprange", "internal/sim/sim.go:21"},           // BadWalk
+		{"annotation", "internal/sim/sim.go:39"},         // unused
+		{"annotation", "internal/sim/sim.go:42"},         // no reason
+		{"annotation", "internal/sim/sim.go:45"},         // unknown check
+		{"backdoor", "use/use.go:9"},                     // Peek in Extract
+		{"sround", "use/use.go:19"},                      // Roundless body
+		{"sround", "use/use.go:25"},                      // ViaVar body
+		{"sround", "use/use.go:44"},                      // nested round
+		{"sround", "use/use.go:45"},                      // unit inside round
+		{"sround", "use/use.go:48"},                      // nested unit
+		{"ckptsafe", "use/use.go:60"},                    // chan field
+		{"ckptsafe", "use/use.go:61"},                    // pointer element
+		{"ckptsafe", "use/use.go:62"},                    // func element
+		{"ckptsafe", "use/use.go:63"},                    // interface element
+		{"determinism", "host/host.go:12"},               // reaches raw go via summary
+		{"determinism", "internal/experiments/exp.go:4"}, // raw go stmt + send (two findings)
+		{"determinism", "internal/experiments/exp.go:4"},
+		{"determinism", "internal/experiments/exp.go:5"}, // raw receive
+		{"chargeflow", "charge/charge.go:7"},             // uncharged data loop
+		{"chargeflow", "charge/charge.go:42"},            // Ctx retained in package state
 	}
 	for _, w := range want {
 		if !has(res, w.check, w.site) {
@@ -414,6 +380,6 @@ func TestFixtureSuppressionAndCounts(t *testing.T) {
 		t.Errorf("counted %d annotations, want 8", total)
 	}
 	if used != 5 {
-		t.Errorf("%d annotations marked used, want 5 (maprange + backdoor + ckptsafe + shardsafe + chargeflow)", used)
+		t.Errorf("%d annotations marked used, want 5 (maprange + backdoor + ckptsafe + determinism + chargeflow)", used)
 	}
 }

@@ -51,18 +51,17 @@ func TestRepoIsClean(t *testing.T) {
 	// sites are cost-free setup/extraction outside the measured run
 	// (examples, app init/extract loops, table1's post-run read);
 	// maprange sites sort afterwards or reduce order-independently;
-	// shardsafe sites are the experiment harness's own fan-out
-	// (parallel.go) plus the sharding demo's read-only group table;
-	// the sround site is the async pipeline example, whose free-
+	// determinism sites are the experiment harness's own fan-out
+	// (parallel.go); the sround site is the async pipeline example, whose free-
 	// floating charges are the thing it demonstrates; chargeflow
 	// sites are the adaptive controller's decision plane, whose
 	// modeled cost is the migrations it orders, not its bookkeeping.
 	want := map[string]int{
-		"backdoor":   10,
-		"chargeflow": 5,
-		"maprange":   5,
-		"shardsafe":  6,
-		"sround":     1,
+		"backdoor":    10,
+		"chargeflow":  5,
+		"determinism": 5,
+		"maprange":    5,
+		"sround":      1,
 	}
 	for check, n := range want {
 		if perCheck[check] != n {

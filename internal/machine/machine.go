@@ -170,8 +170,7 @@ func Generic() Config {
 // crossing a chip boundary within a cluster costs LX=2·LE with a
 // heavier bandwidth factor, crossing a cluster boundary costs LC=5·LE.
 // The tier ratios follow the latency hierarchies measured in "A Model
-// for Communication in Clusters of Multi-core Machines" (PAPERS.md);
-// all values stay integral so counter folds are exact in float64.
+// for Communication in Clusters of Multi-core Machines" (PAPERS.md).
 func Cluster(clusters, chipsPerCluster, cores, threads int) Config {
 	costs := DefaultCosts()
 	costs.LX = 2 * costs.LE
@@ -302,20 +301,6 @@ func (c Config) MsgLink(a, b ThreadID) (delay sim.Time, g float64, intra bool) {
 	}
 }
 
-// InterChipLookahead returns the minimum virtual-time distance between
-// a cross-chip send and any effect on the destination chip — the
-// conservative lookahead window that makes per-chip kernel shards safe
-// (see sim.ShardGroup). It is the smallest cross-chip tier delay.
-func (c Config) InterChipLookahead() sim.Time {
-	l := c.Costs.EffLX()
-	if c.NumClusters() > 1 {
-		if lc := c.Costs.EffLC(); lc < l {
-			l = lc
-		}
-	}
-	return l
-}
-
 // AtFrequency returns a copy of the config running at multiplier mult of
 // the nominal clock. Local-op latencies are scaled by 1/mult (rounded up
 // to ≥ 1 tick) and per-op energies by mult², implementing the dynamic
@@ -377,18 +362,12 @@ func (c Config) Describe() string {
 }
 
 // Machine binds a Config to a simulation kernel and tracks which
-// hardware threads are occupied by simulated processes. On a sharded
-// machine (NewSharded) K is shard 0 — the coordinator kernel that
-// hosts anything without a chip affinity — and each chip's events run
-// on KernelFor(t).
+// hardware threads are occupied by simulated processes.
 type Machine struct {
 	K   *sim.Kernel
 	Cfg Config
 
 	occupancy []int // processes bound per hardware thread
-
-	sg      *sim.ShardGroup // nil on unsharded machines
-	shardOf []int           // chip → shard index (sharded only)
 }
 
 // New creates a machine on kernel k. It panics on an invalid config.
@@ -397,59 +376,6 @@ func New(k *sim.Kernel, cfg Config) *Machine {
 		panic(err)
 	}
 	return &Machine{K: k, Cfg: cfg, occupancy: make([]int, cfg.NumThreads())}
-}
-
-// NewSharded creates a machine whose chips are partitioned over the
-// shard group's kernels: chip c maps to shard c·S/Chips, so chips are
-// spread contiguously and (with ChipsPerCluster a multiple of the
-// chips-per-shard quotient) cluster boundaries align with shard
-// boundaries. It panics if the group has more shards than chips — a
-// shard with no chip could never receive work.
-func NewSharded(sg *sim.ShardGroup, cfg Config) *Machine {
-	if err := cfg.Validate(); err != nil {
-		panic(err)
-	}
-	s := sg.NumShards()
-	if s > cfg.Chips {
-		panic(fmt.Sprintf("machine: %d shards for %d chips; shards must not exceed chips", s, cfg.Chips))
-	}
-	shardOf := make([]int, cfg.Chips)
-	for c := range shardOf {
-		shardOf[c] = c * s / cfg.Chips
-	}
-	return &Machine{
-		K:         sg.Shard(0),
-		Cfg:       cfg,
-		occupancy: make([]int, cfg.NumThreads()),
-		sg:        sg,
-		shardOf:   shardOf,
-	}
-}
-
-// Sharded reports whether the machine partitions chips over a shard
-// group.
-func (m *Machine) Sharded() bool { return m.sg != nil }
-
-// Shards returns the shard group, or nil for unsharded machines.
-func (m *Machine) Shards() *sim.ShardGroup { return m.sg }
-
-// ShardOfThread returns the shard index owning thread t (0 when
-// unsharded).
-func (m *Machine) ShardOfThread(t ThreadID) int {
-	if m.sg == nil {
-		return 0
-	}
-	return m.shardOf[m.Cfg.ChipOf(t)]
-}
-
-// KernelFor returns the kernel that dispatches events for thread t —
-// the shard owning t's chip, or the machine's single kernel when
-// unsharded.
-func (m *Machine) KernelFor(t ThreadID) *sim.Kernel {
-	if m.sg == nil {
-		return m.K
-	}
-	return m.sg.Shard(m.shardOf[m.Cfg.ChipOf(t)])
 }
 
 // Bind records that one more process occupies hardware thread t.

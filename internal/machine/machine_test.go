@@ -273,56 +273,3 @@ func TestEffFallbackChain(t *testing.T) {
 		t.Fatal("set LC must win")
 	}
 }
-
-func TestInterChipLookahead(t *testing.T) {
-	if got := Cluster(2, 2, 2, 2).InterChipLookahead(); got != 40 {
-		t.Fatalf("clustered lookahead = %d, want 40 (LX < LC)", got)
-	}
-	if got := Generic().InterChipLookahead(); got != Generic().Costs.LE {
-		t.Fatalf("flat lookahead = %d, want LE", got)
-	}
-}
-
-func TestNewShardedMapping(t *testing.T) {
-	cfg := Cluster(2, 2, 2, 2) // 4 chips
-	sg := sim.NewShardGroup(2, cfg.InterChipLookahead())
-	m := NewSharded(sg, cfg)
-	if !m.Sharded() || m.Shards() != sg {
-		t.Fatal("sharded accessors wrong")
-	}
-	if m.K != sg.Shard(0) {
-		t.Fatal("machine coordinator kernel must be shard 0")
-	}
-	// chip·S/Chips with 4 chips, 2 shards: chips 0,1 → shard 0; 2,3 → shard 1.
-	want := []int{0, 0, 1, 1}
-	for chip, ws := range want {
-		th := ThreadID(chip * cfg.CoresPerChip * cfg.ThreadsPerCore)
-		if got := m.ShardOfThread(th); got != ws {
-			t.Errorf("chip %d shard = %d, want %d", chip, got, ws)
-		}
-		if m.KernelFor(th) != sg.Shard(ws) {
-			t.Errorf("chip %d KernelFor wrong", chip)
-		}
-	}
-	// Shard boundaries align with cluster boundaries here.
-	if m.ShardOfThread(7) != 0 || m.ShardOfThread(8) != 1 {
-		t.Fatal("shard boundary misaligned with cluster boundary")
-	}
-	// Unsharded machine: everything shard 0 / kernel K.
-	k := sim.NewKernel()
-	flat := New(k, Generic())
-	if flat.Sharded() || flat.ShardOfThread(9) != 0 || flat.KernelFor(9) != k {
-		t.Fatal("unsharded machine shard accessors wrong")
-	}
-}
-
-func TestNewShardedTooManyShardsPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("shards > chips did not panic")
-		}
-	}()
-	NewSharded(sim.NewShardGroup(3, 10), Config{
-		Name: "tiny", Chips: 2, CoresPerChip: 1, ThreadsPerCore: 1, FreqMult: 1, Costs: DefaultCosts(),
-	})
-}

@@ -326,13 +326,6 @@ func (r *Region[T]) access(a Agent, i int, kind AccessKind) bool {
 		panic(fmt.Sprintf("memory: %s index %d out of range [0,%d)", r.name, i, len(r.vals)))
 	}
 	p := a.Proc()
-	if p.Kernel() != r.mem.m.K {
-		// Region slot queues are machine-global serialized state; only
-		// the coordinator shard's single-dispatch discipline protects
-		// them. Shard-homed groups (core.ShardByPlacement) must use
-		// message passing instead.
-		panic(fmt.Sprintf("memory: %s access from a process outside the coordinator shard; shared memory is coordinator-only", r.name))
-	}
 	now := p.Now()
 	// Queued (serialized) access: reserve the next service slot
 	// atomically (before yielding), then wait for it. Same-instant

@@ -111,23 +111,7 @@ type DeliveryRecorder interface {
 // the unrecorded one.
 func (n *Network) SetDeliveryRecorder(rec DeliveryRecorder) { n.recorder = rec }
 
-// ObserverFree reports that no fault injector, probe or delivery
-// recorder is installed — the precondition for routing traffic across
-// kernel shards (observers are consulted synchronously in sender
-// context and would race between concurrently-dispatching shards).
-func (n *Network) ObserverFree() bool {
-	return n.faults == nil && n.probe == nil && n.recorder == nil
-}
-
 // Network is the message-passing subsystem of one simulated machine.
-// On a sharded machine (machine.NewSharded) all mutable counter state
-// lives in per-shard partials so that shards running concurrently
-// within a lookahead window never touch shared memory; the public
-// accessors fold the partials. The folds are exact for the stock cost
-// tables because every g value is integral (float64 addition over
-// integers is associative below 2^53); fractional g values would make
-// the folded occupancy differ from a sequential run's by rounding
-// order, not by model semantics.
 type Network struct {
 	m *machine.Machine
 
@@ -137,21 +121,6 @@ type Network struct {
 	probe    Probe
 	recorder DeliveryRecorder
 
-	// shards holds the counter partials: one entry for an unsharded
-	// machine, one per shard otherwise. shardIdx maps each shard kernel
-	// to its index (nil when unsharded).
-	shards   []netShard
-	shardIdx map[*sim.Kernel]int
-}
-
-// netShard is the per-shard slice of the network's mutable state. Each
-// field is only ever touched from its own shard's kernel context (or
-// from coordinator context between windows), so no locking is needed.
-// Send-side charges (wire, injection occupancy, fault counters) belong
-// to the sending process's shard; delivery-side state (delivered,
-// maxInbox, the delivery-record pool) and drain occupancy belong to
-// the receiving endpoint's shard.
-type netShard struct {
 	delivered int64
 	wireTicks sim.Time // summed in-flight latency of all messages
 	occupancy float64  // summed sender/receiver bandwidth charges
@@ -163,116 +132,46 @@ type netShard struct {
 	faultDelay sim.Time // summed extra latency of delayed messages
 
 	// freeDeliveries recycles in-flight delivery records (see
-	// deliverLocal): at steady state an intra-shard send schedules its
-	// arrival without allocating a closure or a boxed Message.
+	// deliverAfter): at steady state a send schedules its arrival
+	// without allocating a closure or a boxed Message.
 	freeDeliveries []*delivery
 }
 
 // New creates the network for machine m.
-func New(m *machine.Machine) *Network {
-	n := &Network{m: m}
-	if sg := m.Shards(); sg != nil {
-		n.shards = make([]netShard, sg.NumShards())
-		n.shardIdx = make(map[*sim.Kernel]int, sg.NumShards())
-		for i := 0; i < sg.NumShards(); i++ {
-			n.shardIdx[sg.Shard(i)] = i
-		}
-	} else {
-		n.shards = make([]netShard, 1)
-	}
-	return n
-}
-
-// shardFor returns the counter partial owned by kernel k's shard.
-func (n *Network) shardFor(k *sim.Kernel) *netShard {
-	if len(n.shards) == 1 {
-		return &n.shards[0]
-	}
-	return &n.shards[n.shardIdx[k]]
-}
+func New(m *machine.Machine) *Network { return &Network{m: m} }
 
 // Machine returns the backing machine.
 func (n *Network) Machine() *machine.Machine { return n.m }
 
 // Delivered returns the total number of messages delivered so far.
-func (n *Network) Delivered() int64 {
-	var t int64
-	for i := range n.shards {
-		t += n.shards[i].delivered
-	}
-	return t
-}
+func (n *Network) Delivered() int64 { return n.delivered }
 
 // WireTicks returns the summed in-flight latency (L plus long-message
 // serialization) of every message sent so far.
-func (n *Network) WireTicks() sim.Time {
-	var t sim.Time
-	for i := range n.shards {
-		t += n.shards[i].wireTicks
-	}
-	return t
-}
+func (n *Network) WireTicks() sim.Time { return n.wireTicks }
 
 // OccupancyTicks returns the summed bandwidth (g) occupancy charged to
 // senders and receivers, in fractional ticks.
-func (n *Network) OccupancyTicks() float64 {
-	var t float64
-	for i := range n.shards {
-		t += n.shards[i].occupancy
-	}
-	return t
-}
+func (n *Network) OccupancyTicks() float64 { return n.occupancy }
 
 // MaxInboxDepth returns the deepest mailbox backlog observed at any
 // delivery instant — a router/endpoint congestion indicator.
-func (n *Network) MaxInboxDepth() int {
-	t := 0
-	for i := range n.shards {
-		if n.shards[i].maxInbox > t {
-			t = n.shards[i].maxInbox
-		}
-	}
-	return t
-}
+func (n *Network) MaxInboxDepth() int { return n.maxInbox }
 
 // Dropped returns the number of messages lost by fault injection.
-func (n *Network) Dropped() int64 {
-	var t int64
-	for i := range n.shards {
-		t += n.shards[i].dropped
-	}
-	return t
-}
+func (n *Network) Dropped() int64 { return n.dropped }
 
 // Duplicated returns the number of messages duplicated by fault
 // injection (each adds one extra delivery).
-func (n *Network) Duplicated() int64 {
-	var t int64
-	for i := range n.shards {
-		t += n.shards[i].duplicated
-	}
-	return t
-}
+func (n *Network) Duplicated() int64 { return n.duplicated }
 
 // Delayed returns the number of messages given extra latency by fault
 // injection.
-func (n *Network) Delayed() int64 {
-	var t int64
-	for i := range n.shards {
-		t += n.shards[i].delayed
-	}
-	return t
-}
+func (n *Network) Delayed() int64 { return n.delayed }
 
 // FaultDelayTicks returns the summed extra in-flight latency injected
 // into delayed messages.
-func (n *Network) FaultDelayTicks() sim.Time {
-	var t sim.Time
-	for i := range n.shards {
-		t += n.shards[i].faultDelay
-	}
-	return t
-}
+func (n *Network) FaultDelayTicks() sim.Time { return n.faultDelay }
 
 // Endpoint is one process's mailbox. Create one per process with the
 // hardware thread the process is bound to.
@@ -281,39 +180,24 @@ type Endpoint struct {
 	name   string
 	idx    int // registration index within net
 	thread machine.ThreadID
-	k      *sim.Kernel // where the owner parks and deliveries land
 	inbox  []Message
 	rq     sim.WaitQueue // blocked receivers
 }
 
 // NewEndpoint registers a mailbox owned by a process on hardware
-// thread t. On a sharded machine the endpoint is homed on the shard
-// owning t; if the owning process actually runs elsewhere (a demoted
-// group), rebind with BindKernel before any traffic flows.
+// thread t.
 func (n *Network) NewEndpoint(name string, t machine.ThreadID) *Endpoint {
 	if int(t) < 0 || int(t) >= n.m.Cfg.NumThreads() {
 		panic(fmt.Sprintf("msgpass: endpoint thread %d out of range", t))
 	}
-	ep := &Endpoint{net: n, name: name, idx: len(n.endpoints), thread: t, k: n.m.KernelFor(t)}
+	ep := &Endpoint{net: n, name: name, idx: len(n.endpoints), thread: t}
 	n.endpoints = append(n.endpoints, ep)
 	return ep
 }
 
-// BindKernel re-homes the endpoint's delivery/wake kernel. Receiver
-// wakes are scheduled on this kernel, so it must be the kernel the
-// owning process parks on. The core calls this when it places a group
-// on a kernel other than the thread's home shard (demotion to the
-// coordinator). Call before any traffic touches the endpoint.
-func (e *Endpoint) BindKernel(k *sim.Kernel) { e.k = k }
-
-// Kernel returns the kernel deliveries to e land on.
-func (e *Endpoint) Kernel() *sim.Kernel { return e.k }
-
 // Rebind moves the endpoint to hardware thread t: transfers sent after
-// the rebind pay the link costs of the new coordinates. The delivery
-// kernel is deliberately untouched — a live migration (core.Ctx.Rebind)
-// happens under the kernel the owning process already parks on, and
-// messages already in flight were costed at send time against the old
+// the rebind pay the link costs of the new coordinates. Messages
+// already in flight were costed at send time against the old
 // coordinates, exactly as a wire transfer that departed before the move.
 func (e *Endpoint) Rebind(t machine.ThreadID) {
 	if int(t) < 0 || int(t) >= e.net.m.Cfg.NumThreads() {
@@ -387,39 +271,41 @@ func (e *Endpoint) SendSized(a Agent, dst *Endpoint, payload any, words int) sim
 	wire := delay + sim.Time(extra)
 	arrive := m.SentAt + wire
 
-	// All send-side charges go to the sending process's shard — the
-	// kernel context this code is executing in.
-	ns := e.net.shardFor(p.Kernel())
-
+	n := e.net
 	action, faultExtra := FaultNone, sim.Time(0)
-	if e.net.faults != nil {
-		action, faultExtra = e.net.faults.OnSend(e, dst, &m)
+	if n.faults != nil {
+		// The injector gets the address of a copy, copied back after:
+		// taking m's own address would move it to the heap on every
+		// send, injector or not.
+		fm := m
+		action, faultExtra = n.faults.OnSend(e, dst, &fm)
+		m = fm
 	}
 	switch action {
 	case FaultDrop:
 		// Lost in flight. The sender cannot tell: it pays occupancy and
 		// the returned arrival time is when the message would have
 		// arrived.
-		ns.dropped++
+		n.dropped++
 	case FaultDup:
-		ns.duplicated++
-		e.net.deliverFrom(p.Kernel(), ns, dst, m, wire)
-		e.net.deliverFrom(p.Kernel(), ns, dst, m, wire)
-		ns.wireTicks += 2 * wire
+		n.duplicated++
+		n.deliverAfter(dst, m, wire)
+		n.deliverAfter(dst, m, wire)
+		n.wireTicks += 2 * wire
 	case FaultDelay:
 		if faultExtra < 0 {
 			panic("msgpass: negative fault delay")
 		}
-		ns.delayed++
-		ns.faultDelay += faultExtra
+		n.delayed++
+		n.faultDelay += faultExtra
 		arrive += faultExtra
-		e.net.deliverFrom(p.Kernel(), ns, dst, m, wire+faultExtra)
-		ns.wireTicks += wire + faultExtra
+		n.deliverAfter(dst, m, wire+faultExtra)
+		n.wireTicks += wire + faultExtra
 	default:
-		e.net.deliverFrom(p.Kernel(), ns, dst, m, wire)
-		ns.wireTicks += wire
+		n.deliverAfter(dst, m, wire)
+		n.wireTicks += wire
 	}
-	ns.occupancy += g + extra
+	n.occupancy += g + extra
 	// Injection occupancy may be fractional; ChargeCost both advances
 	// the clock and attributes exactly the ticks it materializes, so
 	// sender occupancy shows up under msgwait instead of being measured
@@ -440,15 +326,13 @@ func (e *Endpoint) SendSync(a Agent, dst *Endpoint, payload any) {
 	}
 }
 
-// delivery is one scheduled in-flight message. Records are pooled per
-// shard (netShard.freeDeliveries) and their kernel callback (run) is
-// bound once at creation, so a steady-state intra-shard send schedules
-// its arrival with no per-message allocation — the closure the
-// callback used to be cost one closure plus a boxed Message copy per
-// send.
+// delivery is one scheduled in-flight message. Records are pooled
+// (Network.freeDeliveries) and their kernel callback (run) is bound
+// once at creation, so a steady-state send schedules its arrival with
+// no per-message allocation, where a fresh closure would cost one
+// closure plus a boxed Message copy per send.
 type delivery struct {
 	n   *Network
-	ns  *netShard // pool the record recycles into (dst's shard)
 	dst *Endpoint
 	m   Message
 	tok uint64
@@ -459,83 +343,43 @@ type delivery struct {
 // (nothing below can schedule a new delivery synchronously), then
 // appends to the inbox and wakes a blocked receiver.
 func (d *delivery) deliver() {
-	n, ns, dst, m, tok := d.n, d.ns, d.dst, d.m, d.tok
-	d.ns, d.dst, d.m, d.tok = nil, nil, Message{}, 0
-	ns.freeDeliveries = append(ns.freeDeliveries, d)
+	n, dst, m, tok := d.n, d.dst, d.m, d.tok
+	d.dst, d.m, d.tok = nil, Message{}, 0
+	n.freeDeliveries = append(n.freeDeliveries, d)
 
-	k := dst.k
+	k := n.m.K
 	m.Arrived = k.Now()
 	dst.inbox = append(dst.inbox, m)
-	if len(dst.inbox) > ns.maxInbox {
-		ns.maxInbox = len(dst.inbox)
+	if len(dst.inbox) > n.maxInbox {
+		n.maxInbox = len(dst.inbox)
 	}
-	ns.delivered++
+	n.delivered++
 	if tok != 0 {
 		n.recorder.Land(tok)
 	}
 	dst.rq.Signal(k)
 }
 
-// deliverFrom schedules the arrival of m at dst after delay, from a
-// send executing on kernel src (ns is src's counter partial). When
-// sender and receiver share a kernel this is the pooled local path;
-// otherwise the arrival crosses shards as a buffered lookahead post.
-func (n *Network) deliverFrom(src *sim.Kernel, ns *netShard, dst *Endpoint, m Message, delay sim.Time) {
-	if src == dst.k {
-		n.deliverLocal(dst, m, delay)
-		return
-	}
-	// Cross-shard: observers are consulted synchronously in sender
-	// context and would race (or observe out-of-window state) across
-	// shards, so a sharded run must be observer-free on cross-shard
-	// routes. Groups with observers installed are demoted to one shard
-	// by the core, which makes every send local; reaching this panic
-	// means an endpoint was rebound inconsistently.
-	if n.faults != nil || n.probe != nil || n.recorder != nil {
-		panic("msgpass: cross-shard send with a fault injector, probe or delivery recorder installed")
-	}
-	// The cross-shard path allocates (one closure + boxed Message per
-	// send) — the price of leaving the shard; intra-shard traffic stays
-	// on the pooled path.
-	n.m.Shards().Post(n.shardIdx[src], n.shardIdx[dst.k], src.Now()+delay, func() {
-		n.landCross(dst, m)
-	})
-}
-
-// landCross lands a cross-shard message in dst's shard kernel context
-// at its arrival time (the posted event's dispatch).
-func (n *Network) landCross(dst *Endpoint, m Message) {
-	k := dst.k
-	ns := n.shardFor(k)
-	m.Arrived = k.Now()
-	dst.inbox = append(dst.inbox, m)
-	if len(dst.inbox) > ns.maxInbox {
-		ns.maxInbox = len(dst.inbox)
-	}
-	ns.delivered++
-	dst.rq.Signal(k)
-}
-
-// deliverLocal schedules the arrival of m at dst after delay on dst's
-// own kernel — the path for intra-shard sends (delay relative to the
-// shared clock) and coordinator-context restores.
-func (n *Network) deliverLocal(dst *Endpoint, m Message, delay sim.Time) {
-	k := dst.k
-	ns := n.shardFor(k)
+// deliverAfter schedules the arrival of m at dst after delay.
+func (n *Network) deliverAfter(dst *Endpoint, m Message, delay sim.Time) {
+	k := n.m.K
 	var tok uint64
 	if n.recorder != nil {
-		tok = n.recorder.Depart(dst, &m, k.Now()+delay)
+		// A copy for the recorder, so m itself never has its address
+		// taken and stays off the heap.
+		rm := m
+		tok = n.recorder.Depart(dst, &rm, k.Now()+delay)
 	}
 	var d *delivery
-	if l := len(ns.freeDeliveries); l > 0 {
-		d = ns.freeDeliveries[l-1]
-		ns.freeDeliveries[l-1] = nil
-		ns.freeDeliveries = ns.freeDeliveries[:l-1]
+	if l := len(n.freeDeliveries); l > 0 {
+		d = n.freeDeliveries[l-1]
+		n.freeDeliveries[l-1] = nil
+		n.freeDeliveries = n.freeDeliveries[:l-1]
 	} else {
 		d = &delivery{n: n}
 		d.run = d.deliver
 	}
-	d.ns, d.dst, d.m, d.tok = ns, dst, m, tok
+	d.dst, d.m, d.tok = dst, m, tok
 	k.Schedule(delay, d.run)
 }
 
@@ -598,12 +442,12 @@ func (n *Network) ScheduleDelivery(dst *Endpoint, im InboxMessage, arrive sim.Ti
 	if im.From < 0 || im.From >= len(n.endpoints) {
 		panic(fmt.Sprintf("msgpass: ScheduleDelivery sender index %d out of range", im.From))
 	}
-	delay := arrive - dst.k.Now()
+	delay := arrive - n.m.K.Now()
 	if delay < 0 {
 		panic("msgpass: ScheduleDelivery arrival in the past")
 	}
 	m := Message{From: n.endpoints[im.From], Payload: im.Payload, Words: im.Words, SentAt: im.SentAt}
-	n.deliverLocal(dst, m, delay)
+	n.deliverAfter(dst, m, delay)
 }
 
 // NetState is the network's counter state in serializable form.
@@ -618,29 +462,20 @@ type NetState struct {
 	FaultDelay sim.Time
 }
 
-// State returns the network counters for checkpointing. The per-shard
-// partials are folded: checkpoints store global sums, not the
-// attribution, which is an implementation detail of parallel windows.
+// State returns the network counters for checkpointing.
 func (n *Network) State() NetState {
 	return NetState{
-		Delivered: n.Delivered(), WireTicks: n.WireTicks(), Occupancy: n.OccupancyTicks(),
-		MaxInbox: n.MaxInboxDepth(), Dropped: n.Dropped(), Duplicated: n.Duplicated(),
-		Delayed: n.Delayed(), FaultDelay: n.FaultDelayTicks(),
+		Delivered: n.delivered, WireTicks: n.wireTicks, Occupancy: n.occupancy,
+		MaxInbox: n.maxInbox, Dropped: n.dropped, Duplicated: n.duplicated,
+		Delayed: n.delayed, FaultDelay: n.faultDelay,
 	}
 }
 
-// RestoreState overwrites the network counters from a checkpoint: the
-// restored sums land on shard 0's partial and the rest are zeroed, so
-// subsequent folds start from exactly the checkpointed totals.
+// RestoreState overwrites the network counters from a checkpoint.
 func (n *Network) RestoreState(s NetState) {
-	for i := range n.shards {
-		fd := n.shards[i].freeDeliveries
-		n.shards[i] = netShard{freeDeliveries: fd}
-	}
-	ns := &n.shards[0]
-	ns.delivered, ns.wireTicks, ns.occupancy = s.Delivered, s.WireTicks, s.Occupancy
-	ns.maxInbox, ns.dropped, ns.duplicated = s.MaxInbox, s.Dropped, s.Duplicated
-	ns.delayed, ns.faultDelay = s.Delayed, s.FaultDelay
+	n.delivered, n.wireTicks, n.occupancy = s.Delivered, s.WireTicks, s.Occupancy
+	n.maxInbox, n.dropped, n.duplicated = s.MaxInbox, s.Dropped, s.Duplicated
+	n.delayed, n.faultDelay = s.Delayed, s.FaultDelay
 }
 
 // Recv blocks agent a until a message is available in its endpoint e,
@@ -706,9 +541,7 @@ func (e *Endpoint) take(a Agent, p *sim.Proc, t0 sim.Time) Message {
 	if m.Words > 1 {
 		extra = float64(m.Words-1) * e.net.m.Cfg.Costs.GMpWord
 	}
-	// Drain occupancy belongs to the receiving process's shard — again
-	// the executing kernel context.
-	e.net.shardFor(p.Kernel()).occupancy += g + extra
+	e.net.occupancy += g + extra
 	a.Profile().Charge(obs.CatMsgWait, p.Now()-t0)
 	a.ChargeCost(obs.CatMsgWait, g+extra)
 	if pr := e.net.probe; pr != nil && m.hb != 0 {

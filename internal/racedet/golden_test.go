@@ -15,28 +15,37 @@ import (
 
 var update = flag.Bool("update", false, "rewrite the example report goldens")
 
-// runRacy builds a fresh traced system, attaches a detector, runs the
-// racy example and returns the detector plus its canonical text.
-func runRacy(t *testing.T) (*Detector, string) {
-	t.Helper()
+// runExample builds a fresh traced system, attaches a detector, runs
+// the example build spawns and returns the detector plus its canonical
+// text.
+func runExample(build func(*core.System) (*core.Group, *memory.Region[int64])) (*Detector, string, error) {
 	sys := core.NewSystem(machine.Generic(), core.WithObs(obs.NewObserver()))
 	d := Attach(sys)
-	RacyExample(sys)
+	build(sys)
 	if err := sys.Run(); err != nil {
-		t.Fatalf("racy example: %v", err)
+		return nil, "", err
 	}
-	return d, d.Text()
+	return d, d.Text(), nil
 }
 
+// runRacy runs the racy example (see runExample).
+func runRacy(t *testing.T) (*Detector, string) {
+	t.Helper()
+	d, text, err := runExample(RacyExample)
+	if err != nil {
+		t.Fatalf("racy example: %v", err)
+	}
+	return d, text
+}
+
+// runFixed runs the fixed example (see runExample).
 func runFixed(t *testing.T) (*Detector, string) {
 	t.Helper()
-	sys := core.NewSystem(machine.Generic(), core.WithObs(obs.NewObserver()))
-	d := Attach(sys)
-	FixedExample(sys)
-	if err := sys.Run(); err != nil {
+	d, text, err := runExample(FixedExample)
+	if err != nil {
 		t.Fatalf("fixed example: %v", err)
 	}
-	return d, d.Text()
+	return d, text
 }
 
 func checkGolden(t *testing.T, name, got string) {

@@ -110,16 +110,6 @@ type Kernel struct {
 	// observationally equivalent; the flag exists so tests can assert
 	// exactly that (see fuzz_test.go).
 	DisableFastPath bool
-
-	// Windowed execution state (see RunUntil and shard.go). pauseAt,
-	// when nonzero, is an exclusive dispatch horizon: instead of
-	// finishing, dispatch pauses once every remaining event sits at or
-	// past the horizon — or the queue is empty with processes still
-	// live, since under sharding a neighbouring shard may yet post work
-	// for them. paused records that the last done signal was a pause,
-	// not a completion.
-	pauseAt Time
-	paused  bool
 }
 
 // NewKernel returns an empty simulator positioned at time 0.
@@ -200,12 +190,7 @@ func (k *Kernel) canCoalesce(d Time) bool {
 		// A pending interrupt must force the slow path: a compute-bound
 		// proc coalescing holds never re-enters dispatch, and dispatch
 		// is where the interrupt is honoured.
-		k.interrupt.Load() == nil &&
-		// Never coalesce across a RunUntil horizon: the skipped wake
-		// would land at or past the pause point, where a neighbouring
-		// shard's merged posts may schedule competitors it must lose
-		// FIFO ties to.
-		(k.pauseAt == 0 || k.now+d < k.pauseAt)
+		k.interrupt.Load() == nil
 }
 
 // Spawn creates a new process named name running fn and schedules its
@@ -332,104 +317,13 @@ func (k *Kernel) Run() error {
 	return k.err
 }
 
-// RunUntil dispatches events with timestamps strictly below horizon,
-// then pauses, preserving every parked process and queued event so a
-// later RunUntil (with a larger horizon) resumes seamlessly — the
-// primitive the shard coordinator (ShardGroup) drives each lookahead
-// window with. Within the dispatched prefix, event
-// order is identical to an unwindowed Run: pausing stops the loop, it
-// never reorders it.
-//
-// done=false means the kernel paused at the horizon. done=true means
-// it will never dispatch again on its own: either the simulation
-// completed (err == nil; spawning more work and running again remains
-// valid) or it failed (err != nil; the kernel tore down exactly as
-// under Run and is permanently stopped). A deadlock is not diagnosed
-// locally — an empty queue with live processes pauses instead, because
-// a neighbouring shard may still post the wake they are waiting for;
-// the coordinator owns global deadlock detection.
-func (k *Kernel) RunUntil(horizon Time) (done bool, err error) {
-	if k.running {
-		panic("sim: Kernel.RunUntil is not reentrant")
-	}
-	if k.stopped {
-		return true, ErrStopped
-	}
-	if horizon <= k.now {
-		panic(fmt.Sprintf("sim: RunUntil horizon %d is not after now %d", horizon, k.now))
-	}
-	k.running = true
-	k.pauseAt = horizon
-	k.paused = false
-	defer func() {
-		k.running = false
-		k.pauseAt = 0
-	}()
-
-	k.err = nil
-	k.doneSender = nil
-	k.cur = nil
-	k.dispatch(nil)
-	<-k.done
-	if k.paused {
-		k.paused = false
-		return false, nil
-	}
-	return true, k.err
-}
-
-// pause suspends dispatch at the RunUntil horizon: the baton holder
-// signals completion exactly as finish does, but keeps all simulation
-// state intact. The caller then acts as after an ordinary baton
-// handoff — a parked process blocks on its resume channel and a bare
-// dispatcher (RunUntil's seed, a finished process's trailing dispatch)
-// stops. After the done send the pausing goroutine touches only its
-// own channel, so the coordinator may immediately start the next
-// window.
-func (k *Kernel) pause() {
-	k.paused = true
-	k.cur = nil
-	k.done <- struct{}{}
-}
-
-// NextEventAt returns the timestamp of the earliest queued event;
-// ok=false when the queue is empty. The shard coordinator uses it to
-// compute each window's floor.
-func (k *Kernel) NextEventAt() (Time, bool) {
-	if k.events.Len() == 0 {
-		return 0, false
-	}
-	return k.events.min().at, true
-}
-
-// Live returns the number of spawned and not yet finished processes.
-func (k *Kernel) Live() int { return k.live }
-
-// AbortPaused tears down a kernel that is not running — paused by
-// RunUntil, or idle — from coordinator context: every parked process
-// unwinds through its deferred functions exactly as an error-terminated
-// Run unwinds it, and the kernel is left permanently stopped. The shard
-// coordinator calls it on surviving shards after another shard fails or
-// on global deadlock, so no goroutine outlives a failed sharded run.
-// Aborting an already-stopped kernel is a no-op.
-func (k *Kernel) AbortPaused() {
-	if k.running {
-		panic("sim: AbortPaused on a running kernel")
-	}
-	if k.stopped {
-		return
-	}
-	k.stopped = true
-	k.teardown(nil)
-}
-
 // batonState is dispatch's verdict on where the baton went.
 type batonState uint8
 
 const (
 	// batonPassed: the baton went to another goroutine (or the
-	// simulation finished or paused with the caller not parked); the
-	// caller must block on its resume channel or return.
+	// simulation finished with the caller not parked); the caller must
+	// block on its resume channel or return.
 	batonPassed batonState = iota
 	// batonSelf: the next runnable process is the caller; it resumes in
 	// place with no channel handoff.
@@ -457,12 +351,6 @@ func (k *Kernel) dispatch(self *Proc) batonState {
 			e.At = k.now
 			k.finish(e, self)
 			return k.batonAfterFinish(self)
-		}
-		if k.pauseAt > 0 {
-			if n := k.events.Len(); (n == 0 && k.live > 0) || (n > 0 && k.events.min().at >= k.pauseAt) {
-				k.pause()
-				return batonPassed
-			}
 		}
 		if k.events.Len() == 0 {
 			if k.live == 0 {

@@ -67,9 +67,6 @@ func (p *Proc) Name() string { return p.name }
 // Done reports whether the process body has returned.
 func (p *Proc) Done() bool { return p.state == stateDone }
 
-// Kernel returns the kernel the process runs on.
-func (p *Proc) Kernel() *Kernel { return p.k }
-
 // Killed reports whether Kill has been called on the process.
 func (p *Proc) Killed() bool { return p.killed }
 
@@ -227,7 +224,7 @@ func (p *Proc) park() {
 // process returns immediately.
 func (p *Proc) Join(other *Proc) {
 	if other.k != p.k {
-		panic(fmt.Sprintf("sim: %q joining %q across kernels (shards); cross-shard joins are unsupported", p.name, other.name))
+		panic(fmt.Sprintf("sim: %q joining %q across kernels; a process can only join one on its own kernel", p.name, other.name))
 	}
 	if other.state == stateDone {
 		if k := p.k; k.probe != nil {
