@@ -43,7 +43,7 @@ lint: vet
 # suites), the observer sinks read while a run streams, stampserve, and
 # the lint engine's parallel type-checks and facts pass.
 race:
-	$(GO) test -race ./internal/sim/... ./internal/core/... ./internal/experiments/... ./internal/obs/... ./internal/trace/... ./internal/msgpass/... ./internal/fault/... ./internal/racedet/... ./internal/ckpt/... ./internal/serve/... ./internal/lint/...
+	$(GO) test -race ./internal/sim/... ./internal/core/... ./internal/experiments/... ./internal/obs/... ./internal/msgpass/... ./internal/fault/... ./internal/racedet/... ./internal/ckpt/... ./internal/serve/... ./internal/lint/...
 
 # Black-box e2e: boot stampserve on an ephemeral port, submit scenarios
 # over HTTP and assert on the event stream, /metrics and the scenario

@@ -3,7 +3,6 @@
 //
 //	stamplint ./...
 //	stamplint -format sarif ./internal/experiments/...
-//	stamplint -diff origin/main ./...
 //
 // Exit status 0 means clean, 1 means findings (or unused/malformed
 // //stamplint:allow annotations), 2 means the load itself failed.

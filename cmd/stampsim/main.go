@@ -35,13 +35,10 @@ import (
 	"repro/internal/apps/jacobi"
 	"repro/internal/ckpt"
 	"repro/internal/core"
-	"repro/internal/cost"
-	"repro/internal/energy"
 	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/racedet"
 	"repro/internal/stm"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -56,8 +53,7 @@ func main() {
 	manager := flag.String("manager", "timestamp", "contention manager: passive | aggressive | karma | timestamp")
 	policy := flag.String("policy", "partial", "airline policy: partial | strict")
 	seed := flag.Int64("seed", 1, "workload seed")
-	doTrace := flag.Bool("trace", false, "record execution events; print timeline and last events")
-	traceTail := flag.Int("trace-tail", 40, "how many trailing trace events to print")
+	doTrace := flag.Bool("trace", false, "record causal spans; print the timeline and the last 40 spans")
 	traceOut := flag.String("trace-out", "", "write causal spans as Chrome trace-event JSON to this file")
 	metricsOut := flag.String("metrics-out", "", "write run metrics to this file (.json → JSON, otherwise Prometheus text)")
 	doProfile := flag.Bool("profile", false, "print the per-process virtual-time breakdown and hotspots")
@@ -95,16 +91,11 @@ func main() {
 
 	var opts []core.Option
 	opts = append(opts, core.WithContentionManager(mgr))
-	var rec *trace.Recorder
-	if *doTrace {
-		rec = trace.New(100000)
-		opts = append(opts, core.WithTracer(rec))
-	}
 	ob := &obs.Observer{}
 	if *metricsOut != "" {
 		ob.Reg = obs.NewRegistry()
 	}
-	if *traceOut != "" {
+	if *doTrace || *traceOut != "" {
 		ob.Trace = obs.NewTracer()
 	}
 	if *doProfile || *metricsOut != "" {
@@ -181,23 +172,9 @@ func main() {
 		ok := apsp.Equal(res.Dist, apsp.FloydWarshall(g))
 		fmt.Printf("apsp %v mode=%v: %d epochs, %d total rounds, correct=%v\n",
 			apsp.DefaultAttrs, m, res.Epochs, res.TotalRounds(), ok)
-		// Round-time drift against the cost model with the measured κ
-		// (queue wait) substituted, as in the §4 analysis.
-		var sumT, sumWait float64
-		var rounds int
-		for _, c := range res.Group.Ctxs() {
-			for _, rec := range c.Rounds() {
-				sumT += float64(rec.T())
-				sumWait += float64(rec.Ops.QueueWait)
-				rounds++
-			}
-		}
-		if rounds > 0 {
-			cm := cfg.Costs
-			model := cost.APSP{V: *n, EllE: float64(cm.EllE), GShE: cm.GShE,
-				Kappa: sumWait / float64(rounds), WInt: cm.WInt, WRead: cm.WRead, WWrite: cm.WWrite}
-			obs.RecordDrift(ob.Registry(), "apsp", "T_sround", model.TSRoundEffective(), sumT/float64(rounds))
-			obs.RecordDrift(ob.Registry(), "apsp", "E_sround_upper", model.ESRoundUpper(), measuredMeanRoundE(sys, res.Group))
+		if model, mt, me, ok := apsp.Model(res.Group); ok {
+			obs.RecordDrift(ob.Registry(), "apsp", "T_sround", model.TSRoundEffective(), mt)
+			obs.RecordDrift(ob.Registry(), "apsp", "E_sround_upper", model.ESRoundUpper(), me)
 		}
 		fmt.Print(res.Report().Table())
 
@@ -225,15 +202,13 @@ func main() {
 		fail("unknown app %q", *app)
 	}
 
-	if rec != nil {
+	if *doTrace {
 		fmt.Println()
-		fmt.Print(rec.Timeline(72))
-		evs := rec.Events()
-		if len(evs) > *traceTail {
-			evs = evs[len(evs)-*traceTail:]
-		}
-		for _, e := range evs {
-			fmt.Println(e)
+		fmt.Print(ob.Tracer().Timeline(72))
+		spans := ob.Tracer().Spans()
+		for _, s := range spans[max(len(spans)-40, 0):] {
+			line := fmt.Sprintf("t=%-8d T=%-6d %-14s %-8s %-10s %s", s.Start, s.T(), s.Proc, s.Cat, s.Name, s.Detail)
+			fmt.Println(strings.TrimRight(line, " "))
 		}
 	}
 
@@ -263,25 +238,6 @@ func main() {
 			os.Exit(1)
 		}
 	}
-}
-
-// measuredMeanRoundE returns the mean per-round energy across all
-// member processes of g.
-func measuredMeanRoundE(sys *core.System, g *core.Group) float64 {
-	cfg := sys.M.Cfg
-	var sum float64
-	var n int
-	for _, c := range g.Ctxs() {
-		scale := cfg.ComputeEnergyScale(cfg.CoreOf(c.Thread()))
-		for _, r := range c.Rounds() {
-			sum += energy.EnergyScaled(r.Ops, cfg.Costs, scale)
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
 }
 
 // writeFile creates path and runs emit on it, exiting on error.

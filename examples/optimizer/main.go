@@ -41,12 +41,12 @@ func main() {
 
 	// Run the chosen pick for real, traced, on a machine clocked at
 	// the chosen DVFS point.
-	rec := stamp.NewTracer(0)
+	tr := stamp.NewTracer()
 	mach := cfg
 	if tight.Cfg.Freq != 1 {
 		mach = cfg.AtFrequency(tight.Cfg.Freq)
 	}
-	sys := stamp.NewSystem(mach, stamp.WithTracer(rec))
+	sys := stamp.NewSystem(mach, stamp.WithTracer(tr))
 	attrs := stamp.Attrs{Dist: tight.Cfg.Dist, Exec: stamp.AsyncExec, Comm: stamp.AsyncComm}
 	g := sys.NewGroup("stencil", attrs, tight.Cfg.P, func(ctx *stamp.Ctx) {
 		right := (ctx.Index() + 1) % ctx.GroupSize()
@@ -68,5 +68,5 @@ func main() {
 	fmt.Printf("\nsimulated %v: measured T=%d E=%.0f P=%.3f (model said T=%.0f E=%.0f)\n",
 		tight.Cfg, rep.T(), rep.E(), rep.Power(), tight.T, tight.E)
 	fmt.Println()
-	fmt.Print(rec.Timeline(64))
+	fmt.Print(tr.Timeline(64))
 }

@@ -18,6 +18,8 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/cost"
+	"repro/internal/energy"
 	"repro/internal/memory"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -235,6 +237,34 @@ func Run(sys *core.System, cfg Config) (Result, error) {
 		}
 	}
 	return Result{Dist: out, Epochs: epochs, RoundsPerProc: rounds, Group: grp}, nil
+}
+
+// Model returns the §4 round model of a finished APSP group with the
+// measured κ — the mean queue wait per S-round — substituted, as the
+// §4 analysis does, together with the measured mean S-round time T and
+// energy E over every round of every member. ok is false when the
+// group recorded no rounds.
+func Model(g *core.Group) (m cost.APSP, meanT, meanE float64, ok bool) {
+	cfg := g.Ctxs()[0].System().M.Cfg
+	var sumT, sumWait, sumE float64
+	var rounds int
+	for _, c := range g.Ctxs() {
+		scale := cfg.ComputeEnergyScale(cfg.CoreOf(c.Thread()))
+		for _, r := range c.Rounds() {
+			sumT += float64(r.T())
+			sumWait += float64(r.Ops.QueueWait)
+			sumE += energy.EnergyScaled(r.Ops, cfg.Costs, scale)
+			rounds++
+		}
+	}
+	if rounds == 0 {
+		return m, 0, 0, false
+	}
+	n := float64(rounds)
+	cm := cfg.Costs
+	m = cost.APSP{V: g.Size(), EllE: float64(cm.EllE), GShE: cm.GShE,
+		Kappa: sumWait / n, WInt: cm.WInt, WRead: cm.WRead, WWrite: cm.WWrite}
+	return m, sumT / n, sumE / n, true
 }
 
 // FloydWarshall is the sequential exact baseline.

@@ -5,9 +5,9 @@ import (
 	"testing"
 
 	"repro/internal/machine"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/stm"
-	"repro/internal/trace"
 )
 
 func TestAttrsStrings(t *testing.T) {
@@ -498,8 +498,8 @@ func TestHeterogeneousPowerLawPerCore(t *testing.T) {
 }
 
 func TestTracerRecordsExecution(t *testing.T) {
-	rec := trace.New(0)
-	sys := NewSystem(machine.Niagara(), WithTracer(rec))
+	tr := obs.NewTracer()
+	sys := NewSystem(machine.Niagara(), WithObs(&obs.Observer{Trace: tr}))
 	attrs := Attrs{Dist: IntraProc, Exec: TransExec, Comm: SynchComm}
 	v := stm.NewTVar(sys.TM, "v", int64(0))
 	sys.NewGroup("traced", attrs, 2, func(ctx *Ctx) {
@@ -521,42 +521,50 @@ func TestTracerRecordsExecution(t *testing.T) {
 	if err := sys.Run(); err != nil {
 		t.Fatal(err)
 	}
-	counts := rec.ByKind()
-	if counts[trace.RoundStart] != 2 || counts[trace.RoundEnd] != 2 {
-		t.Fatalf("round events: %v", counts)
+	counts := map[string]int{}
+	for _, s := range tr.Spans() {
+		counts[s.Cat+"/"+s.Name]++
 	}
-	if counts[trace.UnitStart] != 2 || counts[trace.UnitEnd] != 2 {
-		t.Fatalf("unit events: %v", counts)
-	}
-	if counts[trace.Send] != 2 || counts[trace.Recv] != 2 {
-		t.Fatalf("comm events: %v", counts)
-	}
-	if counts[trace.TxCommit] != 2 {
-		t.Fatalf("tx events: %v", counts)
-	}
-	if counts[trace.Custom] != 2 {
-		t.Fatalf("custom events: %v", counts)
+	for _, w := range []struct {
+		span string
+		n    int
+	}{
+		{"proc/traced/0", 1}, {"proc/traced/1", 1},
+		{"unit/unit 0", 2}, {"round/round 0", 2},
+		{"msg/send", 2}, {"msg/recv", 2},
+		{"tx/tx", 2}, {"tx/commit", 2}, {"app/app", 2},
+	} {
+		if counts[w.span] != w.n {
+			t.Fatalf("%s spans = %d, want %d (all: %v)", w.span, counts[w.span], w.n, counts)
+		}
 	}
 	// Skewed work → the faster process waits at the round barrier.
-	if counts[trace.BarrierWait] == 0 {
+	if counts["barrier/barrier"] == 0 {
 		t.Fatal("no barrier wait recorded despite skew")
 	}
-	if rec.Timeline(40) == "" || rec.Log() == "" {
-		t.Fatal("renderings empty")
+	if tl := tr.Timeline(40); !strings.Contains(tl, "traced/0") || !strings.Contains(tl, "#") {
+		t.Fatalf("timeline misses the traced rounds:\n%s", tl)
 	}
 }
 
 func TestNoTracerNoOverheadPath(t *testing.T) {
 	sys := NewSystem(machine.Niagara())
+	var span obs.SpanID = -1
 	sys.NewGroup("plain", Attrs{Comm: AsyncComm}, 1, func(ctx *Ctx) {
-		ctx.SRound(func() { ctx.IntOps(1) })
+		ctx.SRound(func() {
+			ctx.IntOps(1)
+			span = ctx.CurrentSpan()
+		})
 		ctx.Trace("ignored")
 	})
 	if err := sys.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if sys.Tracer.Enabled() {
-		t.Fatal("tracer enabled by default")
+	if sys.Obs.Tracer().Enabled() || sys.Obs.Tracer().Len() != 0 {
+		t.Fatal("span tracer enabled by default")
+	}
+	if span != 0 {
+		t.Fatalf("untraced round opened span %d", span)
 	}
 }
 

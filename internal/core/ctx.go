@@ -9,7 +9,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/stm"
-	"repro/internal/trace"
 )
 
 // Ctx is the execution context of one STAMP process: it binds the
@@ -310,7 +309,6 @@ func (c *Ctx) SUnit(fn func()) {
 	c.inUnit = true
 	c.unitStart = c.Now()
 	c.unitBase = c.c
-	c.traceEvent(trace.UnitStart, fmt.Sprintf("unit %d", c.unit))
 	if tr := c.tracerSpans(); tr.Enabled() {
 		c.unitSpan = tr.Begin(c.unitStart, c.p.Name(), "unit", fmt.Sprintf("unit %d", c.unit), c.procSpan)
 	}
@@ -325,7 +323,6 @@ func (c *Ctx) SUnit(fn func()) {
 	rec.Ops = c.c
 	rec.Ops.SubFrom(c.unitBase)
 	c.units = append(c.units, rec)
-	c.traceEvent(trace.UnitEnd, fmt.Sprintf("unit %d", c.unit))
 	c.tracerSpans().End(c.unitSpan, rec.End)
 	c.unitSpan = 0
 	c.unit++
@@ -344,7 +341,6 @@ func (c *Ctx) SRound(fn func()) {
 	c.inRound = true
 	c.roundStart = c.Now()
 	c.roundBase = c.c
-	c.traceEvent(trace.RoundStart, fmt.Sprintf("round %d", c.round))
 	if tr := c.tracerSpans(); tr.Enabled() {
 		parent := c.unitSpan
 		if parent == 0 {
@@ -365,7 +361,6 @@ func (c *Ctx) SRound(fn func()) {
 	rec.Ops = c.c
 	rec.Ops.SubFrom(c.roundBase)
 	c.rounds = append(c.rounds, rec)
-	c.traceEvent(trace.RoundEnd, fmt.Sprintf("round %d", c.round))
 	c.tracerSpans().End(c.roundSpan, rec.End)
 	c.roundSpan = 0
 	c.round++
@@ -388,7 +383,6 @@ func (c *Ctx) barrierWait() {
 		return
 	}
 	c.prof.Charge(obs.CatBarrier, wait)
-	c.traceEvent(trace.BarrierWait, fmt.Sprintf("waited %d", wait))
 	if tr := c.tracerSpans(); tr.Enabled() {
 		id := tr.Begin(before, c.p.Name(), "barrier", "barrier", c.spanParent())
 		tr.End(id, before+wait)
@@ -461,9 +455,6 @@ func (c *Ctx) Peer(j int) *msgpass.Endpoint {
 // blocks until delivery; under async_comm it is fire-and-forget.
 func (c *Ctx) SendTo(j int, payload any) {
 	dst := c.Peer(j)
-	if c.sys.Tracer.Enabled() {
-		c.traceEvent(trace.Send, "to "+dst.Name())
-	}
 	if tr := c.tracerSpans(); tr.Enabled() {
 		tr.Instant(c.Now(), c.p.Name(), "msg", "send", "to "+dst.Name(), c.spanParent())
 	}
@@ -484,9 +475,6 @@ func (c *Ctx) Recv() msgpass.Message {
 	}
 	m := c.ep.Recv(c)
 	tr.End(sp, c.Now())
-	if m.From != nil && c.sys.Tracer.Enabled() {
-		c.traceEvent(trace.Recv, "from "+m.From.Name())
-	}
 	return m
 }
 
@@ -524,7 +512,7 @@ func (c *Ctx) BroadcastAll(payload any) {
 func (c *Ctx) Atomically(body func(tx *stm.Tx) error) (stm.Outcome, error) {
 	sp := c.beginTxSpan()
 	out, err := c.sys.TM.Atomically(c, body)
-	c.endTxSpan(sp, out, err)
+	c.endTxSpan(sp, out)
 	return out, err
 }
 
@@ -534,7 +522,7 @@ func (c *Ctx) Atomically(body func(tx *stm.Tx) error) (stm.Outcome, error) {
 func (c *Ctx) AtomicallyWait(body func(tx *stm.Tx) error) (stm.Outcome, error) {
 	sp := c.beginTxSpan()
 	out, err := c.sys.TM.AtomicallyWait(c, body)
-	c.endTxSpan(sp, out, err)
+	c.endTxSpan(sp, out)
 	return out, err
 }
 
@@ -543,7 +531,7 @@ func (c *Ctx) AtomicallyWait(body func(tx *stm.Tx) error) (stm.Outcome, error) {
 func (c *Ctx) AtomicallyOrElse(first, second func(tx *stm.Tx) error) (stm.Outcome, error) {
 	sp := c.beginTxSpan()
 	out, err := c.sys.TM.AtomicallyOrElse(c, first, second)
-	c.endTxSpan(sp, out, err)
+	c.endTxSpan(sp, out)
 	return out, err
 }
 
@@ -555,16 +543,9 @@ func (c *Ctx) beginTxSpan() obs.SpanID {
 	return 0
 }
 
-// endTxSpan closes the "tx" span and records the outcome in both the
-// flat event log and as a span instant.
-func (c *Ctx) endTxSpan(sp obs.SpanID, out stm.Outcome, err error) {
-	if c.sys.Tracer.Enabled() {
-		if out.Committed {
-			c.traceEvent(trace.TxCommit, fmt.Sprintf("attempts %d", out.Attempts))
-		} else {
-			c.traceEvent(trace.TxAbort, fmt.Sprintf("attempts %d err %v", out.Attempts, err))
-		}
-	}
+// endTxSpan closes the "tx" span and records the outcome as a span
+// instant.
+func (c *Ctx) endTxSpan(sp obs.SpanID, out stm.Outcome) {
 	tr := c.tracerSpans()
 	if !tr.Enabled() {
 		return
@@ -578,16 +559,9 @@ func (c *Ctx) endTxSpan(sp obs.SpanID, out stm.Outcome, err error) {
 	tr.Instant(now, c.p.Name(), "tx", name, fmt.Sprintf("attempts %d", out.Attempts), sp)
 }
 
-// traceEvent records an event when tracing is enabled.
-func (c *Ctx) traceEvent(k trace.Kind, detail string) {
-	if c.sys.Tracer.Enabled() {
-		c.sys.Tracer.Record(c.Now(), c.p.Name(), k, detail)
-	}
-}
-
-// Trace records a custom application event when tracing is enabled.
+// Trace records a custom application event as a span instant when span
+// tracing is enabled.
 func (c *Ctx) Trace(detail string) {
-	c.traceEvent(trace.Custom, detail)
 	if tr := c.tracerSpans(); tr.Enabled() {
 		tr.Instant(c.Now(), c.p.Name(), "app", "app", detail, c.spanParent())
 	}

@@ -14,7 +14,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/stm"
-	"repro/internal/trace"
 )
 
 // System bundles one simulated machine with its substrates: queued
@@ -36,10 +35,6 @@ type System struct {
 		Shard(i int) *sim.Kernel
 	}
 
-	// Tracer, when non-nil, records structured execution events
-	// (S-round boundaries, communication, transaction outcomes).
-	Tracer *trace.Recorder
-
 	// Obs, when non-nil, carries the observability sinks (metrics
 	// registry, span tracer, virtual-time profiler). Every sink is
 	// independently optional and its nil form is a no-op.
@@ -55,11 +50,6 @@ type Option func(*System)
 // Passive).
 func WithContentionManager(m stm.ContentionManager) Option {
 	return func(s *System) { s.TM.Manager = m }
-}
-
-// WithTracer attaches an execution-event recorder.
-func WithTracer(r *trace.Recorder) Option {
-	return func(s *System) { s.Tracer = r }
 }
 
 // WithObs attaches an observability bundle (metrics, spans, profiler).

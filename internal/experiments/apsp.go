@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/apps/apsp"
 	"repro/internal/core"
-	"repro/internal/cost"
 	"repro/internal/machine"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -78,22 +77,7 @@ func runAPSP() Result {
 	// model with the measured κ (queue wait) substituted in, using the
 	// unpipelined g_eff = ℓ_e + g_sh_e mapping documented in
 	// EXPERIMENTS.md.
-	v := 16
-	bs := apspRun(v, apsp.BulkSync, 1)
-	var sumT, sumWait float64
-	var rounds int
-	for _, c := range bs.Group.Ctxs() {
-		for _, rec := range c.Rounds() {
-			sumT += float64(rec.T())
-			sumWait += float64(rec.Ops.QueueWait)
-			rounds++
-		}
-	}
-	measT := sumT / float64(rounds)
-	measKappa := sumWait / float64(rounds)
-	cm := machine.Niagara().Costs
-	model := cost.APSP{V: v, EllE: float64(cm.EllE), GShE: cm.GShE,
-		Kappa: measKappa, WInt: cm.WInt, WRead: cm.WRead, WWrite: cm.WWrite}
+	model, measT, _, _ := apsp.Model(apspRun(16, apsp.BulkSync, 1).Group)
 	predT := model.TSRoundEffective()
 	t.row("")
 	t.row("V=16 round model", "measured mean T", "predicted T (κ=measured)", "rel err")

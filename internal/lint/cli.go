@@ -22,8 +22,7 @@ func CLI(dir string, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("stamplint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	verbose := fs.Bool("v", false, "list the checks and every analyzed package")
-	format := fs.String("format", "text", "output format: text, json, or sarif")
-	diffRef := fs.String("diff", "", "only report findings on lines changed since this git ref")
+	format := fs.String("format", "text", "output format: text or sarif")
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: stamplint [flags] [package patterns]\n\n")
 		fmt.Fprintf(stderr, "Analyzes the module rooted in the working directory (patterns default to ./...).\n")
@@ -33,10 +32,8 @@ func CLI(dir string, args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return ExitError
 	}
-	switch *format {
-	case "text", "json", "sarif":
-	default:
-		fmt.Fprintf(stderr, "stamplint: unknown -format %q (want text, json, or sarif)\n", *format)
+	if *format != "text" && *format != "sarif" {
+		fmt.Fprintf(stderr, "stamplint: unknown -format %q (want text or sarif)\n", *format)
 		return ExitError
 	}
 
@@ -68,23 +65,11 @@ func CLI(dir string, args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	res := prog.Analyze(analyzers)
-	findings := res.Findings
-	if *diffRef != "" {
-		findings, err = FilterChanged(dir, *diffRef, findings)
-		if err != nil {
-			fmt.Fprintf(stderr, "stamplint: %v\n", err)
-			return ExitError
-		}
-	}
-
-	switch *format {
-	case "text":
-		err = WriteText(stdout, dir, findings)
-	case "json":
-		err = WriteJSON(stdout, dir, findings)
-	case "sarif":
+	findings := prog.Analyze(analyzers).Findings
+	if *format == "sarif" {
 		err = WriteSARIF(stdout, dir, analyzers, findings)
+	} else {
+		err = WriteText(stdout, dir, findings)
 	}
 	if err != nil {
 		fmt.Fprintf(stderr, "stamplint: writing output: %v\n", err)

@@ -97,7 +97,6 @@ var mechanismPkgs = map[string]bool{
 // they get the same boundary mask as the mechanism packages.
 var observerPkgs = map[string]bool{
 	"repro/internal/obs":     true,
-	"repro/internal/trace":   true,
 	"repro/internal/racedet": true,
 }
 

@@ -37,36 +37,6 @@ func WriteText(w io.Writer, root string, findings []Finding) error {
 	return nil
 }
 
-// jsonFinding is the stable machine-readable form of one finding.
-type jsonFinding struct {
-	File    string `json:"file"`
-	Line    int    `json:"line"`
-	Column  int    `json:"column"`
-	Check   string `json:"check"`
-	Message string `json:"message"`
-}
-
-// WriteJSON renders findings as a JSON document:
-//
-//	{"findings": [{file, line, column, check, message}, ...]}
-func WriteJSON(w io.Writer, root string, findings []Finding) error {
-	out := struct {
-		Findings []jsonFinding `json:"findings"`
-	}{Findings: []jsonFinding{}}
-	for _, f := range findings {
-		out.Findings = append(out.Findings, jsonFinding{
-			File:    relPath(root, f.Pos.Filename),
-			Line:    f.Pos.Line,
-			Column:  f.Pos.Column,
-			Check:   f.Check,
-			Message: f.Message,
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
-}
-
 // SARIF 2.1.0 structures — only the subset stamplint emits.
 
 type sarifLog struct {

@@ -13,7 +13,6 @@ import (
 	"repro/internal/apps/apsp"
 	"repro/internal/apps/jacobi"
 	"repro/internal/core"
-	"repro/internal/cost"
 	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/workload"
@@ -108,19 +107,11 @@ func TestAPSPDriftWithinBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sumT, sumWait float64
-	var rounds int
-	for _, c := range res.Group.Ctxs() {
-		for _, rec := range c.Rounds() {
-			sumT += float64(rec.T())
-			sumWait += float64(rec.Ops.QueueWait)
-			rounds++
-		}
+	model, measT, _, ok := apsp.Model(res.Group)
+	if !ok {
+		t.Fatal("apsp run recorded no rounds")
 	}
-	cm := machine.Niagara().Costs
-	model := cost.APSP{V: v, EllE: float64(cm.EllE), GShE: cm.GShE,
-		Kappa: sumWait / float64(rounds), WInt: cm.WInt, WRead: cm.WRead, WWrite: cm.WWrite}
-	d := obs.RecordDrift(reg, "apsp", "T_sround", model.TSRoundEffective(), sumT/float64(rounds))
+	d := obs.RecordDrift(reg, "apsp", "T_sround", model.TSRoundEffective(), measT)
 	if d.RelErr() >= 0.3 {
 		t.Fatalf("APSP T drift %.2f ≥ 0.3 (pred %.0f meas %.0f)", d.RelErr(), d.Predicted, d.Measured)
 	}

@@ -4,9 +4,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"sort"
+	"strings"
 
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // SpanID identifies a span within one Tracer; 0 means "no span" (root).
@@ -198,77 +199,61 @@ func (t *Tracer) WriteChrome(w io.Writer) error {
 	return enc.Encode(chromeFile{TraceEvents: evs, DisplayTimeUnit: "ms"})
 }
 
-// TracerFromEvents lifts a flat event log (the legacy internal/trace
-// format, live or read back via trace.ReadJSON) into causal spans:
-// unit-start/unit-end and round-start/round-end pairs become complete
-// spans nested process → unit → round; everything else becomes an
-// instant under the innermost open span. This lets archived flat logs
-// feed the Chrome exporter.
-func TracerFromEvents(evs []trace.Event) *Tracer {
-	trace.SortEvents(evs)
-	t := NewTracer()
-	type openState struct {
-		proc, unit, round SpanID
+// Timeline renders a per-process lane chart of width columns: '#'
+// inside a closed S-round span, '-' elsewhere within the process's
+// spans (its proc span, when one was recorded), '.' outside them. Lanes
+// sort by process name.
+func (t *Tracer) Timeline(width int) string {
+	if width < 10 {
+		width = 10
 	}
-	open := map[string]*openState{}
-	state := func(proc string, at sim.Time) *openState {
-		st := open[proc]
-		if st == nil {
-			st = &openState{proc: t.Begin(at, proc, "proc", proc, 0)}
-			open[proc] = st
+	spans := t.Spans()
+	if len(spans) == 0 {
+		return "(no events)\n"
+	}
+	type lane struct {
+		first, last sim.Time
+		rounds      [][2]sim.Time
+	}
+	lanes := map[string]*lane{}
+	tMin, tMax := spans[0].Start, spans[0].End
+	for _, s := range spans {
+		tMin, tMax = min(tMin, s.Start), max(tMax, s.End)
+		l := lanes[s.Proc]
+		if l == nil {
+			l = &lane{first: s.Start, last: s.End}
+			lanes[s.Proc] = l
 		}
-		return st
-	}
-	for _, e := range evs {
-		st := state(e.Proc, e.At)
-		switch e.Kind {
-		case trace.UnitStart:
-			st.unit = t.Begin(e.At, e.Proc, "unit", e.Detail, st.proc)
-		case trace.UnitEnd:
-			t.End(st.unit, e.At)
-			st.unit = 0
-		case trace.RoundStart:
-			parent := st.unit
-			if parent == 0 {
-				parent = st.proc
-			}
-			st.round = t.Begin(e.At, e.Proc, "round", e.Detail, parent)
-		case trace.RoundEnd:
-			t.End(st.round, e.At)
-			st.round = 0
-		default:
-			parent := st.round
-			if parent == 0 {
-				parent = st.unit
-			}
-			if parent == 0 {
-				parent = st.proc
-			}
-			cat := "app"
-			switch e.Kind {
-			case trace.Send, trace.Recv:
-				cat = "msg"
-			case trace.TxCommit, trace.TxAbort:
-				cat = "tx"
-			case trace.BarrierWait:
-				cat = "barrier"
-			}
-			t.Instant(e.At, e.Proc, cat, e.Kind.String(), e.Detail, parent)
+		l.first, l.last = min(l.first, s.Start), max(l.last, s.End)
+		if s.Cat == "round" && !s.open {
+			l.rounds = append(l.rounds, [2]sim.Time{s.Start, s.End})
 		}
 	}
-	// Close any span left open at its last-seen time (the span end
-	// stays at Start, which End already handles); close proc spans at
-	// the trace horizon.
-	var horizon sim.Time
-	for _, e := range evs {
-		if e.At > horizon {
-			horizon = e.At
+	span := max(tMax-tMin, 1)
+	col := func(at sim.Time) int {
+		return min(int(int64(at-tMin)*int64(width-1)/int64(span)), width-1)
+	}
+
+	names := make([]string, 0, len(lanes))
+	for n := range lanes {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+
+	var b strings.Builder
+	fmt.Fprintf(&b, "timeline t=[%d,%d]\n", tMin, tMax)
+	for _, n := range names {
+		l := lanes[n]
+		row := []byte(strings.Repeat(".", width))
+		for i := col(l.first); i <= col(l.last); i++ {
+			row[i] = '-'
 		}
+		for _, r := range l.rounds {
+			for i := col(r[0]); i <= col(r[1]); i++ {
+				row[i] = '#'
+			}
+		}
+		fmt.Fprintf(&b, "%-14s |%s|\n", n, row)
 	}
-	for _, st := range open {
-		t.End(st.unit, horizon)
-		t.End(st.round, horizon)
-		t.End(st.proc, horizon)
-	}
-	return t
+	return b.String()
 }

@@ -6,9 +6,8 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
-
-	"repro/internal/trace"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite golden files")
@@ -129,38 +128,36 @@ func TestWriteChromeFieldValidity(t *testing.T) {
 	}
 }
 
-func TestTracerFromEventsLiftsStructure(t *testing.T) {
-	rec := trace.New(0)
-	rec.Record(0, "w/0", trace.UnitStart, "unit 0")
-	rec.Record(0, "w/0", trace.RoundStart, "round 0")
-	rec.Record(3, "w/0", trace.Send, "to w/1")
-	rec.Record(8, "w/0", trace.RoundEnd, "round 0")
-	rec.Record(9, "w/0", trace.UnitEnd, "unit 0")
-	rec.Record(4, "w/1", trace.TxCommit, "attempts 2")
+func TestTimelineShape(t *testing.T) {
+	tr := NewTracer()
+	a := tr.Begin(0, "a", "proc", "a", 0)
+	tr.End(tr.Begin(0, "a", "round", "round 0", a), 50)
+	tr.End(a, 50)
+	b := tr.Begin(50, "b", "proc", "b", 0)
+	tr.End(tr.Begin(50, "b", "round", "round 0", b), 100)
+	tr.End(b, 100)
+	tl := tr.Timeline(40)
+	lines := strings.Split(strings.TrimSpace(tl), "\n")
+	if len(lines) != 3 {
+		t.Fatalf("timeline lines: %v", lines)
+	}
+	if !strings.Contains(lines[0], "t=[0,100]") {
+		t.Fatalf("header %q", lines[0])
+	}
+	aRow, bRow := lines[1], lines[2]
+	if !strings.HasPrefix(aRow, "a") || !strings.HasPrefix(bRow, "b") {
+		t.Fatalf("lane order: %q %q", aRow, bRow)
+	}
+	// a is busy in the first half, b in the second.
+	aBusyFirst := strings.Index(aRow, "#")
+	bBusyFirst := strings.Index(bRow, "#")
+	if aBusyFirst >= bBusyFirst {
+		t.Fatalf("lane activity misplaced: a@%d b@%d", aBusyFirst, bBusyFirst)
+	}
+}
 
-	tr := TracerFromEvents(rec.Events())
-	byName := map[string]Span{}
-	for _, s := range tr.Spans() {
-		byName[s.Proc+"/"+s.Cat+"/"+s.Name] = s
-	}
-	proc, ok := byName["w/0/proc/w/0"]
-	if !ok {
-		t.Fatalf("no proc span: %v", byName)
-	}
-	unit := byName["w/0/unit/unit 0"]
-	if unit.Parent != proc.ID || unit.End != 9 {
-		t.Fatalf("unit span %+v", unit)
-	}
-	round := byName["w/0/round/round 0"]
-	if round.Parent != unit.ID || round.T() != 8 {
-		t.Fatalf("round span %+v", round)
-	}
-	send := byName["w/0/msg/send"]
-	if send.Kind != SpanInstant || send.Parent != round.ID {
-		t.Fatalf("send instant %+v", send)
-	}
-	commit := byName["w/1/tx/tx-commit"]
-	if commit.Kind != SpanInstant {
-		t.Fatalf("commit instant %+v", commit)
+func TestTimelineEmpty(t *testing.T) {
+	if !strings.Contains(NewTracer().Timeline(30), "no events") {
+		t.Fatal("empty timeline wrong")
 	}
 }

@@ -2,7 +2,6 @@ package sched
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/machine"
@@ -32,47 +31,17 @@ func Reallocate(cfg machine.Config, job Job, envelopePerCore float64, down map[i
 	if len(current) != job.N {
 		panic(fmt.Sprintf("sched: Reallocate placement has %d threads for a %d-process job", len(current), job.N))
 	}
-	d := Decision{Job: job, PerCorePower: map[int]float64{}}
-	if job.N < 1 {
-		d.Reason = "empty job"
+	d, order := feasible(cfg, job, envelopePerCore, down)
+	if !d.Feasible {
 		return d
 	}
-	cap := CapPerCore(cfg, job.PowerPerProc, envelopePerCore)
-	d.ThreadsPerCoreCap = cap
-	if cap == 0 {
-		d.Reason = fmt.Sprintf("one process (P≤%.3g) already exceeds the %.3g envelope",
-			job.PowerPerProc, envelopePerCore)
-		return d
-	}
-	cores := cfg.NumCores()
-	order := make([]int, 0, cores)
-	for c := 0; c < cores; c++ {
-		if !down[c] {
-			order = append(order, c)
-		}
-	}
-	alive := len(order)
-	if alive == 0 {
-		d.Reason = fmt.Sprintf("all %d cores are down", cores)
-		return d
-	}
-	if job.N > cap*alive {
-		if alive == cores {
-			d.Reason = fmt.Sprintf("need %d slots but machine offers %d cores × %d = %d under the envelope",
-				job.N, cores, cap, cap*cores)
-		} else {
-			d.Reason = fmt.Sprintf("need %d slots but only %d of %d cores survive × %d = %d under the envelope",
-				job.N, alive, cores, cap, cap*alive)
-		}
-		return d
-	}
+	cap := d.ThreadsPerCoreCap
 
 	// Keepers hold their exact threads: first-come per core up to the
 	// cap, so under a tightened envelope the later-ranked occupants of
 	// an over-cap core are the ones that move.
-	d.Feasible = true
 	d.Placement = make(core.Placement, job.N)
-	perCore := make([]int, cores)
+	perCore := make([]int, cfg.NumCores())
 	taken := make(map[machine.ThreadID]bool, job.N)
 	movers := make([]int, 0, job.N)
 	keeperCluster := make(map[int]bool)
@@ -93,8 +62,7 @@ func Reallocate(cfg machine.Config, job Job, envelopePerCore float64, down map[i
 	// Mover destination order: surviving cores in clusters hosting
 	// keepers first, then the rest, each class in Allocate's
 	// speed-sorted stable order.
-	speedSort(cfg, order)
-	moverOrder := make([]int, 0, alive)
+	moverOrder := make([]int, 0, len(order))
 	for _, c := range order {
 		if keeperCluster[cfg.ClusterOf(machine.ThreadID(c*cfg.ThreadsPerCore))] {
 			moverOrder = append(moverOrder, c)
@@ -149,12 +117,4 @@ func Reallocate(cfg machine.Config, job Job, envelopePerCore float64, down map[i
 	d.Reason = fmt.Sprintf("kept %d and moved %d of %d processes; %d core(s), ≤%d per core",
 		job.N-d.Moved, d.Moved, job.N, d.CoresUsed, cap)
 	return d
-}
-
-// speedSort orders cores fastest-first, stable for equal speeds — the
-// visit order Allocate uses (see AllocateExcluding).
-func speedSort(cfg machine.Config, order []int) {
-	sort.SliceStable(order, func(a, b int) bool {
-		return cfg.CoreMult(order[a]) > cfg.CoreMult(order[b])
-	})
 }

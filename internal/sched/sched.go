@@ -76,54 +76,13 @@ func Allocate(cfg machine.Config, job Job, envelopePerCore float64) Decision {
 // under the power envelope. A nil or empty down map is exactly
 // Allocate.
 func AllocateExcluding(cfg machine.Config, job Job, envelopePerCore float64, down map[int]bool) Decision {
-	d := Decision{Job: job, PerCorePower: map[int]float64{}}
-	if job.N < 1 {
-		d.Reason = "empty job"
+	d, order := feasible(cfg, job, envelopePerCore, down)
+	if !d.Feasible {
 		return d
 	}
-	cap := CapPerCore(cfg, job.PowerPerProc, envelopePerCore)
-	d.ThreadsPerCoreCap = cap
-	if cap == 0 {
-		d.Reason = fmt.Sprintf("one process (P≤%.3g) already exceeds the %.3g envelope",
-			job.PowerPerProc, envelopePerCore)
-		return d
-	}
-	cores := cfg.NumCores()
-	// order holds the usable (surviving) cores; the placement loops only
-	// ever index into it, so a down core can never receive a process.
-	order := make([]int, 0, cores)
-	for c := 0; c < cores; c++ {
-		if !down[c] {
-			order = append(order, c)
-		}
-	}
-	alive := len(order)
-	if alive == 0 {
-		d.Reason = fmt.Sprintf("all %d cores are down", cores)
-		return d
-	}
-	if job.N > cap*alive {
-		if alive == cores {
-			d.Reason = fmt.Sprintf("need %d slots but machine offers %d cores × %d = %d under the envelope",
-				job.N, cores, cap, cap*cores)
-		} else {
-			d.Reason = fmt.Sprintf("need %d slots but only %d of %d cores survive × %d = %d under the envelope",
-				job.N, alive, cores, cap, cap*alive)
-		}
-		return d
-	}
-
-	d.Feasible = true
+	cap := d.ThreadsPerCoreCap
 	d.Placement = make(core.Placement, job.N)
-	perCore := make([]int, cores)
-	// On heterogeneous machines, visit faster processors first: local
-	// operations finish sooner there at the same hardware-thread count
-	// (power rises as mult³, but the envelope accounting here uses the
-	// caller's per-process estimate either way). Order is stable for
-	// equal speeds, so homogeneous machines keep the 0,1,2,… layout.
-	sort.SliceStable(order, func(a, b int) bool {
-		return cfg.CoreMult(order[a]) > cfg.CoreMult(order[b])
-	})
+	perCore := make([]int, cfg.NumCores())
 	place := func(i, c int) {
 		th := machine.ThreadID(c*cfg.ThreadsPerCore + perCore[c])
 		d.Placement[i] = th
@@ -173,6 +132,60 @@ func AllocateExcluding(cfg machine.Config, job Job, envelopePerCore float64, dow
 	d.Reason = fmt.Sprintf("placed %d processes on %d core(s), ≤%d per core",
 		job.N, d.CoresUsed, cap)
 	return d
+}
+
+// feasible is the refusal arithmetic AllocateExcluding and Reallocate
+// share, so an infeasible job gets the same reason from either. It
+// returns the decision with the per-core cap filled in, and Feasible
+// set together with the usable (surviving) cores in visit order when
+// the job fits; otherwise Reason says why not and order is nil.
+func feasible(cfg machine.Config, job Job, envelopePerCore float64, down map[int]bool) (d Decision, order []int) {
+	d = Decision{Job: job, PerCorePower: map[int]float64{}}
+	if job.N < 1 {
+		d.Reason = "empty job"
+		return d, nil
+	}
+	cap := CapPerCore(cfg, job.PowerPerProc, envelopePerCore)
+	d.ThreadsPerCoreCap = cap
+	if cap == 0 {
+		d.Reason = fmt.Sprintf("one process (P≤%.3g) already exceeds the %.3g envelope",
+			job.PowerPerProc, envelopePerCore)
+		return d, nil
+	}
+	cores := cfg.NumCores()
+	// The placement loops only ever index into order, so a down core
+	// can never receive a process.
+	order = make([]int, 0, cores)
+	for c := 0; c < cores; c++ {
+		if !down[c] {
+			order = append(order, c)
+		}
+	}
+	alive := len(order)
+	if alive == 0 {
+		d.Reason = fmt.Sprintf("all %d cores are down", cores)
+		return d, nil
+	}
+	if job.N > cap*alive {
+		if alive == cores {
+			d.Reason = fmt.Sprintf("need %d slots but machine offers %d cores × %d = %d under the envelope",
+				job.N, cores, cap, cap*cores)
+		} else {
+			d.Reason = fmt.Sprintf("need %d slots but only %d of %d cores survive × %d = %d under the envelope",
+				job.N, alive, cores, cap, cap*alive)
+		}
+		return d, nil
+	}
+	// On heterogeneous machines, visit faster processors first: local
+	// operations finish sooner there at the same hardware-thread count
+	// (power rises as mult³, but the envelope accounting here uses the
+	// caller's per-process estimate either way). Order is stable for
+	// equal speeds, so homogeneous machines keep the 0,1,2,… layout.
+	sort.SliceStable(order, func(a, b int) bool {
+		return cfg.CoreMult(order[a]) > cfg.CoreMult(order[b])
+	})
+	d.Feasible = true
+	return d, order
 }
 
 // clusterGroups partitions the (speed-ordered) usable cores by the

@@ -14,8 +14,6 @@ import (
 	"repro/internal/apps/jacobi"
 	"repro/internal/ckpt"
 	"repro/internal/core"
-	"repro/internal/cost"
-	"repro/internal/energy"
 	"repro/internal/experiments"
 	"repro/internal/fault"
 	"repro/internal/obs"
@@ -309,42 +307,11 @@ func runAPSP(spec Spec, sys *core.System, ob *obs.Observer, res *Result) *core.G
 
 	// Round-time drift against the cost model with the measured κ
 	// (queue wait) substituted, as in stampsim and the §4 analysis.
-	var sumT, sumWait float64
-	var rounds int
-	for _, c := range r.Group.Ctxs() {
-		for _, rec := range c.Rounds() {
-			sumT += float64(rec.T())
-			sumWait += float64(rec.Ops.QueueWait)
-			rounds++
-		}
-	}
-	if rounds > 0 {
-		cm := sys.M.Cfg.Costs
-		model := cost.APSP{V: spec.N, EllE: float64(cm.EllE), GShE: cm.GShE,
-			Kappa: sumWait / float64(rounds), WInt: cm.WInt, WRead: cm.WRead, WWrite: cm.WWrite}
-		recordDrift(ob, res, "apsp", "T_sround", model.TSRoundEffective(), sumT/float64(rounds))
-		recordDrift(ob, res, "apsp", "E_sround_upper", model.ESRoundUpper(), meanRoundE(sys, r.Group))
+	if model, mt, me, ok := apsp.Model(r.Group); ok {
+		recordDrift(ob, res, "apsp", "T_sround", model.TSRoundEffective(), mt)
+		recordDrift(ob, res, "apsp", "E_sround_upper", model.ESRoundUpper(), me)
 	}
 	return r.Group
-}
-
-// meanRoundE returns the mean per-round energy across all member
-// processes of g (the stampsim measuredMeanRoundE).
-func meanRoundE(sys *core.System, g *core.Group) float64 {
-	cfg := sys.M.Cfg
-	var sum float64
-	var n int
-	for _, c := range g.Ctxs() {
-		scale := cfg.ComputeEnergyScale(cfg.CoreOf(c.Thread()))
-		for _, r := range c.Rounds() {
-			sum += energy.EnergyScaled(r.Ops, cfg.Costs, scale)
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
 }
 
 // profileMap renders the fleet-wide category totals for the result

@@ -521,7 +521,9 @@ func TestRunTimeout(t *testing.T) {
 		t.Skip("burns a real wall-clock second on purpose")
 	}
 	_, ts := newTestServer(t, 1)
-	spec := `{"app":"jacobi","n":64,"iters":100000000,"timeout_sec":1}`
+	// iters at its upper bound: over a minute of simulation on a 2-CPU
+	// host, far past the one-second deadline.
+	spec := `{"app":"jacobi","n":64,"iters":10000,"timeout_sec":1}`
 
 	sub := postSpec(t, ts.URL, spec)
 	st := waitDone(t, ts.URL, sub["id"].(string))
@@ -562,6 +564,42 @@ func TestTimeoutSpecValidation(t *testing.T) {
 	}
 	if a.Hash() == b.Hash() {
 		t.Error("deadline-bounded spec hashes like the unbounded one")
+	}
+}
+
+// TestSubmitInputLimits pins stampserve's input bounds: a body over
+// maxSpecBytes is refused with 413, and each size knob past its limit
+// with a 400 that names the field. The limits themselves are accepted.
+func TestSubmitInputLimits(t *testing.T) {
+	_, ts := newTestServer(t, 1)
+	for _, c := range []struct {
+		name, body string
+		code       int
+	}{
+		{"n", `{"app":"jacobi","n":1025}`, http.StatusBadRequest},
+		{"procs", `{"app":"bank","procs":1025}`, http.StatusBadRequest},
+		{"iters", `{"app":"jacobi","iters":10001}`, http.StatusBadRequest},
+		{"body", `{"app":"jacobi","machine":"` + strings.Repeat("x", maxSpecBytes) + `"}`, http.StatusRequestEntityTooLarge},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			resp, err := http.Post(ts.URL+"/runs", "application/json", strings.NewReader(c.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != c.code {
+				t.Fatalf("status %d (%s), want %d", resp.StatusCode, b, c.code)
+			}
+			if c.code == http.StatusBadRequest && !strings.Contains(string(b), c.name+" must be") {
+				t.Errorf("error %s does not name the field %q", b, c.name)
+			}
+		})
+	}
+	for _, sp := range []Spec{{App: "jacobi", N: maxN, Iters: maxIters}, {App: "bank", Procs: maxProcs}} {
+		if _, err := sp.Normalize(); err != nil {
+			t.Errorf("spec at the limits %+v rejected: %v", sp, err)
+		}
 	}
 }
 

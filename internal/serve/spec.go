@@ -82,6 +82,16 @@ type Spec struct {
 	TimeoutSec int `json:"timeout_sec,omitempty"`
 }
 
+// Upper bounds on an app scenario's size knobs. The server is
+// long-lived and a run's memory and time grow with them (jacobi
+// allocates an n×n system, apsp an n×n distance matrix), so one request
+// must not be able to exhaust the host.
+const (
+	maxN     = 1024
+	maxProcs = 1024
+	maxIters = 10000
+)
+
 // knownApps lists the app scenarios and their per-app defaults.
 var knownApps = map[string]bool{"jacobi": true, "apsp": true, "bank": true, "airline": true}
 
@@ -151,8 +161,8 @@ func (s Spec) normalizeApp() (Spec, error) {
 	if s.N == 0 {
 		s.N = 16
 	}
-	if s.N < 2 {
-		return Spec{}, fmt.Errorf("n must be >= 2, got %d", s.N)
+	if s.N < 2 || s.N > maxN {
+		return Spec{}, fmt.Errorf("n must be in [2, %d], got %d", maxN, s.N)
 	}
 	if s.Seed == 0 {
 		s.Seed = 1
@@ -169,8 +179,8 @@ func (s Spec) normalizeApp() (Spec, error) {
 		if s.Iters == 0 {
 			s.Iters = 6
 		}
-		if s.Iters < 0 {
-			return Spec{}, fmt.Errorf("iters must be >= 1, got %d", s.Iters)
+		if s.Iters < 0 || s.Iters > maxIters {
+			return Spec{}, fmt.Errorf("iters must be in [1, %d], got %d", maxIters, s.Iters)
 		}
 		if err := s.rejectUnused("jacobi", s.Procs != 0, "procs"); err != nil {
 			return Spec{}, err
@@ -203,8 +213,8 @@ func (s Spec) normalizeApp() (Spec, error) {
 		if s.Procs == 0 {
 			s.Procs = 4
 		}
-		if s.Procs < 1 {
-			return Spec{}, fmt.Errorf("procs must be >= 1, got %d", s.Procs)
+		if s.Procs < 1 || s.Procs > maxProcs {
+			return Spec{}, fmt.Errorf("procs must be in [1, %d], got %d", maxProcs, s.Procs)
 		}
 		if s.Manager == "" {
 			s.Manager = "timestamp"

@@ -40,10 +40,6 @@ type STM struct {
 	m       *machine.Machine
 	Manager ContentionManager
 
-	// Trace, when non-nil, receives a line per notable transactional
-	// event (conflicts, aborts, commits) for debugging and analysis.
-	Trace func(format string, args ...any)
-
 	birthSeq uint64
 	commits  int64
 	aborts   int64
@@ -101,7 +97,6 @@ func (s *STM) AbortRate() float64 {
 
 // tvar is the type-erased view of a TVar that transactions manipulate.
 type tvar interface {
-	varName() string
 	ver() uint64
 	ownerTx() *Tx
 	// releaseFrom discards tx's buffered write and clears ownership;
@@ -222,9 +217,8 @@ func (v *TVar[T]) SetValue(x T) { v.val = x }
 // transactional writes.
 func (v *TVar[T]) Version() uint64 { return v.version }
 
-func (v *TVar[T]) varName() string { return v.name }
-func (v *TVar[T]) ver() uint64     { return v.version }
-func (v *TVar[T]) ownerTx() *Tx    { return v.owner }
+func (v *TVar[T]) ver() uint64  { return v.version }
+func (v *TVar[T]) ownerTx() *Tx { return v.owner }
 
 func (v *TVar[T]) releaseFrom(tx *Tx) {
 	if v.owner == tx {
@@ -386,16 +380,8 @@ func (tx *Tx) isAncestorOwner(v tvar) (*Tx, bool) {
 // or tx aborts itself (unwinding via panic).
 func (tx *Tx) resolveConflict(victim *Tx) {
 	if tx.s.Manager.Resolve(tx, victim) {
-		if tx.s.Trace != nil {
-			tx.s.Trace("t=%d conflict: attacker(b=%d,a=%d,k=%d) kills victim(b=%d,a=%d,k=%d)",
-				tx.agent.Proc().Now(), tx.birth, tx.attempt, tx.karma, victim.birth, victim.attempt, victim.karma)
-		}
 		victim.forceAbort()
 		return
-	}
-	if tx.s.Trace != nil {
-		tx.s.Trace("t=%d conflict: attacker(b=%d,a=%d,k=%d) yields to victim(b=%d,a=%d,k=%d)",
-			tx.agent.Proc().Now(), tx.birth, tx.attempt, tx.karma, victim.birth, victim.attempt, victim.karma)
 	}
 	tx.abortSelf()
 }
@@ -520,10 +506,6 @@ func (tx *Tx) validate() bool {
 		ver := tx.readSet[v]
 		tx.chargeAccess(false)
 		if v.ver() != ver {
-			if tx.s.Trace != nil {
-				tx.s.Trace("t=%d validate-fail: tx(b=%d,a=%d) var=%s ver %d→%d",
-					tx.agent.Proc().Now(), tx.birth, tx.attempt, v.varName(), ver, v.ver())
-			}
 			return false
 		}
 	}

@@ -35,11 +35,11 @@ import (
 	"repro/internal/machine"
 	"repro/internal/memory"
 	"repro/internal/msgpass"
+	"repro/internal/obs"
 	"repro/internal/opt"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/stm"
-	"repro/internal/trace"
 )
 
 // Time is virtual simulation time in ticks (one tick = one local op).
@@ -120,21 +120,16 @@ func WithContentionManager(m ContentionManager) Option {
 	return core.WithContentionManager(m)
 }
 
-// Execution tracing.
-type (
-	// Tracer records structured execution events (S-round boundaries,
-	// communication, transaction outcomes) and renders timelines.
-	Tracer = trace.Recorder
-	// TraceEvent is one recorded occurrence.
-	TraceEvent = trace.Event
-)
+// Tracer records execution as causal spans (process ⊃ S-unit ⊃
+// S-round ⊃ barrier/msg/tx), renders per-process timelines and exports
+// Chrome trace-event JSON.
+type Tracer = obs.Tracer
 
-// NewTracer returns an enabled event recorder keeping at most max
-// events (0 = unbounded).
-func NewTracer(max int) *Tracer { return trace.New(max) }
+// NewTracer returns an empty span tracer.
+func NewTracer() *Tracer { return obs.NewTracer() }
 
-// WithTracer attaches an event recorder to a System.
-func WithTracer(r *Tracer) Option { return core.WithTracer(r) }
+// WithTracer attaches a span tracer to a System.
+func WithTracer(t *Tracer) Option { return core.WithObs(&obs.Observer{Trace: t}) }
 
 // WithPlacement overrides a group's default placement.
 func WithPlacement(pl Placement) core.GroupOption { return core.WithPlacement(pl) }

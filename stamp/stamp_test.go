@@ -2,6 +2,7 @@ package stamp_test
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/stamp"
@@ -151,19 +152,21 @@ func TestOptimizerFacade(t *testing.T) {
 }
 
 func TestTracerFacade(t *testing.T) {
-	rec := stamp.NewTracer(100)
-	sys := stamp.NewSystem(stamp.Niagara(), stamp.WithTracer(rec))
+	tr := stamp.NewTracer()
+	sys := stamp.NewSystem(stamp.Niagara(), stamp.WithTracer(tr))
 	sys.NewGroup("tr", stamp.Attrs{Comm: stamp.AsyncComm}, 1, func(ctx *stamp.Ctx) {
 		ctx.SRound(func() { ctx.IntOps(1) })
 	})
 	if err := sys.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if rec.Len() == 0 {
-		t.Fatal("tracer recorded nothing")
+	// One proc span enclosing one round span.
+	spans := tr.Spans()
+	if len(spans) != 2 || spans[0].Cat != "proc" || spans[1].Cat != "round" || spans[1].Parent != spans[0].ID {
+		t.Fatalf("spans %+v, want proc ⊃ round", spans)
 	}
-	if rec.Timeline(30) == "" {
-		t.Fatal("timeline empty")
+	if !strings.Contains(tr.Timeline(30), "tr/0") {
+		t.Fatal("timeline has no lane for tr/0")
 	}
 }
 
