@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test bench bench-smoke check fmt vet lint race ckpt-fuzz flake-hunt e2e
+.PHONY: all build test bench bench-smoke check fmt vet lint race ckpt-fuzz flake-hunt e2e examples
 
 all: build
 
@@ -41,7 +41,7 @@ lint: vet
 # kernel's baton handoffs and teardown, Systems running side by side in
 # one process (the parallel experiment harness, the *UnderShards
 # suites), the observer sinks read while a run streams, stampserve, and
-# the lint engine's parallel type-checks and facts pass.
+# the lint engine's parallel type-checks.
 race:
 	$(GO) test -race ./internal/sim/... ./internal/core/... ./internal/experiments/... ./internal/obs/... ./internal/msgpass/... ./internal/fault/... ./internal/racedet/... ./internal/ckpt/... ./internal/serve/... ./internal/lint/...
 
@@ -68,10 +68,17 @@ FLAKE_HUNT_N ?= 500
 flake-hunt:
 	FLAKE_HUNT_N=$(FLAKE_HUNT_N) FLAKE_HUNT_SEED=$(FLAKE_HUNT_SEED) $(GO) test -run 'TestFlakeHunt' -count=1 -v ./internal/sim/
 
+# Run every program under examples/ and fail on a non-zero exit. Each
+# exits non-zero when its run fails; apsp, banking and pipeline also
+# check their answers, and pipeline is the only one that blocks in a
+# transactional Retry.
+examples:
+	@for d in examples/*/; do echo "$(GO) run ./$$d"; $(GO) run ./$$d > /dev/null || exit 1; done
+
 # The PR gate: everything must build, lint (go vet + stamplint)
 # and be gofmt-clean, the simulator, core, experiment harness, observability,
 # race-detector, checkpoint, serve and lint packages must pass under the
-# Go race detector, the checkpoint kill/restore fuzz must hold bit-for-bit, and
-# every benchmark must at least run.
-check: build vet lint fmt race ckpt-fuzz bench-smoke
+# Go race detector, the checkpoint kill/restore fuzz must hold bit-for-bit,
+# every benchmark must at least run and every example must run cleanly.
+check: build vet lint fmt race ckpt-fuzz bench-smoke examples
 	$(GO) test ./...

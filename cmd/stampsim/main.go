@@ -13,7 +13,7 @@
 // Observability:
 //
 //	stampsim -app jacobi -n 32 -trace-out /tmp/t.json   # Perfetto/chrome://tracing
-//	stampsim -app jacobi -n 32 -metrics-out /tmp/m.prom # Prometheus text (.json → JSON)
+//	stampsim -app jacobi -n 32 -metrics-out /tmp/m.prom # Prometheus text
 //	stampsim -app jacobi -n 32 -profile                 # per-process time breakdown
 //
 // Checkpoint/restore (jacobi with -iters > 0):
@@ -55,7 +55,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "workload seed")
 	doTrace := flag.Bool("trace", false, "record causal spans; print the timeline and the last 40 spans")
 	traceOut := flag.String("trace-out", "", "write causal spans as Chrome trace-event JSON to this file")
-	metricsOut := flag.String("metrics-out", "", "write run metrics to this file (.json → JSON, otherwise Prometheus text)")
+	metricsOut := flag.String("metrics-out", "", "write run metrics to this file as Prometheus text")
 	doProfile := flag.Bool("profile", false, "print the per-process virtual-time breakdown and hotspots")
 	doRace := flag.Bool("race", false, "detect model-level data races (happens-before over virtual time); exit 1 if one is found")
 	ckptDir := flag.String("ckpt-dir", "", "checkpoint directory (jacobi with -iters > 0); enables checkpointing")
@@ -63,31 +63,10 @@ func main() {
 	ckptRestore := flag.Bool("ckpt-restore", false, "restore the latest checkpoint from -ckpt-dir and replay to completion")
 	flag.Parse()
 
-	var cfg machine.Config
-	switch *mach {
-	case "niagara":
-		cfg = machine.Niagara()
-	case "generic":
-		cfg = machine.Generic()
-	case "single":
-		cfg = machine.SingleCore()
-	default:
-		fail("unknown machine %q", *mach)
-	}
-
-	var mgr stm.ContentionManager
-	switch *manager {
-	case "passive":
-		mgr = stm.Passive{}
-	case "aggressive":
-		mgr = stm.Aggressive{}
-	case "karma":
-		mgr = stm.Karma{}
-	case "timestamp":
-		mgr = stm.Timestamp{}
-	default:
-		fail("unknown manager %q", *manager)
-	}
+	cfg, err := machine.Preset(*mach)
+	exitIf(err)
+	mgr, err := stm.ManagerByName(*manager)
+	exitIf(err)
 
 	var opts []core.Option
 	opts = append(opts, core.WithContentionManager(mgr))
@@ -218,12 +197,7 @@ func main() {
 	}
 	if *metricsOut != "" {
 		sys.CollectMetrics()
-		writeFile(*metricsOut, func(f *os.File) error {
-			if strings.HasSuffix(*metricsOut, ".json") {
-				return ob.Registry().WriteJSON(f)
-			}
-			return ob.Registry().WritePrometheus(f)
-		})
+		writeFile(*metricsOut, func(f *os.File) error { return ob.Registry().WritePrometheus(f) })
 		fmt.Printf("wrote metrics to %s\n", *metricsOut)
 	}
 	if *doProfile {

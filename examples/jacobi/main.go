@@ -10,7 +10,9 @@ package main
 import (
 	"fmt"
 	"log"
+	"maps"
 	"math"
+	"slices"
 
 	"repro/stamp"
 )
@@ -93,7 +95,8 @@ func main() {
 	fmt.Printf("measured: group T=%d E=%.0f P=%.3f | residual %.2e after %d iters\n",
 		rep.T(), rep.E(), rep.Power(), worst, iters)
 	perCore := rep.PowerPerCore(cfg, cfg.Costs)
-	for core, p := range perCore {
+	for _, core := range slices.Sorted(maps.Keys(perCore)) {
+		p := perCore[core]
 		fmt.Printf("  core %d power %.3f (envelope %.0f) within=%v\n",
 			core, p, env, p <= env)
 	}

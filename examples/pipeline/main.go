@@ -34,7 +34,7 @@ func newBuffer(sys *stamp.System, name string, capacity int) *buffer {
 }
 
 func (b *buffer) put(ctx *stamp.Ctx, v int64) {
-	if _, err := ctx.AtomicallyWait(func(tx *stamp.Tx) error {
+	if _, err := ctx.Atomically(func(tx *stamp.Tx) error {
 		n := b.size.Get(tx)
 		if n >= b.cap {
 			tx.Retry() // block until a consumer frees a slot
@@ -50,7 +50,7 @@ func (b *buffer) put(ctx *stamp.Ctx, v int64) {
 
 func (b *buffer) take(ctx *stamp.Ctx) int64 {
 	var out int64
-	if _, err := ctx.AtomicallyWait(func(tx *stamp.Tx) error {
+	if _, err := ctx.Atomically(func(tx *stamp.Tx) error {
 		n := b.size.Get(tx)
 		if n == 0 {
 			tx.Retry() // block until a producer fills a slot

@@ -574,7 +574,7 @@ func TestCtxAtomicallyWaitAndOrElse(t *testing.T) {
 	alt := stm.NewTVar(sys.TM, "alt", int64(3))
 	var got int64
 	sys.NewGroup("waiter", Attrs{Comm: AsyncComm}, 1, func(ctx *Ctx) {
-		if _, err := ctx.AtomicallyWait(func(tx *stm.Tx) error {
+		if _, err := ctx.Atomically(func(tx *stm.Tx) error {
 			if flag.Get(tx) == 0 {
 				tx.Retry()
 			}

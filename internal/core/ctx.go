@@ -508,20 +508,12 @@ func (c *Ctx) BroadcastAll(payload any) {
 // --- transactional execution -----------------------------------------
 
 // Atomically runs body as a transaction on the system's STM (the
-// trans_exec attribute's realization).
+// trans_exec attribute's realization). A body that calls tx.Retry()
+// blocks this process until another transaction commits, then
+// re-executes.
 func (c *Ctx) Atomically(body func(tx *stm.Tx) error) (stm.Outcome, error) {
 	sp := c.beginTxSpan()
 	out, err := c.sys.TM.Atomically(c, body)
-	c.endTxSpan(sp, out)
-	return out, err
-}
-
-// AtomicallyWait is Atomically with Retry support: a body that calls
-// tx.Retry() blocks this process until another transaction commits,
-// then re-executes.
-func (c *Ctx) AtomicallyWait(body func(tx *stm.Tx) error) (stm.Outcome, error) {
-	sp := c.beginTxSpan()
-	out, err := c.sys.TM.AtomicallyWait(c, body)
 	c.endTxSpan(sp, out)
 	return out, err
 }

@@ -17,8 +17,8 @@
 //     the disruption signal a controller catches to re-place the work
 //     on the remaining cores (sched.AllocateExcluding) and warm-start.
 //   - Reliable is a stop-and-wait retransmission protocol over lossy
-//     links: per-destination sequence numbers, ack/retransmit with the
-//     STM layer's doubling-to-cap backoff shape, receiver-side dedup.
+//     links: per-destination sequence numbers, ack/retransmit with an
+//     ack-wait window that doubles up to a cap, receiver-side dedup.
 //     Time lost to timed-out waits is charged to obs.CatFault, so the
 //     profiler separates recovery overhead from productive waiting.
 package fault

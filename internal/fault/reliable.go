@@ -43,8 +43,7 @@ type Reliable struct {
 	ep *msgpass.Endpoint
 
 	// Timeout is the base ack-wait window; attempt n waits
-	// Timeout·2^(n-1), capped at 8·Timeout (doubling-to-cap, like
-	// stm.ExpBackoff).
+	// Timeout·2^(n-1), capped at 8·Timeout.
 	Timeout sim.Time
 	// MaxTries bounds transmissions per Send and empty waits per
 	// RecvFrom before giving up with an error.

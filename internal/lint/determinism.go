@@ -162,9 +162,9 @@ func rawConcurrencyFindings(p *Pkg) []Finding {
 					}
 					if bad := ff.Facts & rawConcurrency; bad != 0 {
 						via := ""
-						for bit := range factNames {
-							if bad&bit != 0 {
-								if v := ff.Via[bit]; v != "" {
+						for i := range factNames {
+							if bad&bit(i) != 0 {
+								if v := ff.Via[bit(i)]; v != "" {
 									via = " via " + v
 								}
 								break

@@ -16,12 +16,9 @@ import (
 type Fact uint8
 
 const (
-	// FactMayBlock: the function may park its process on virtual time
-	// (Recv, Barrier, Atomically, ...).
-	FactMayBlock Fact = 1 << iota
 	// FactSpawnsGoroutine: a raw `go` statement — host concurrency
 	// outside the kernel's virtual-time scheduler.
-	FactSpawnsGoroutine
+	FactSpawnsGoroutine Fact = 1 << iota
 	// FactUsesChannel: a raw channel make/send/receive/close/select —
 	// host synchronization invisible to virtual time.
 	FactUsesChannel
@@ -35,19 +32,23 @@ const (
 	FactIssuesCharge
 )
 
-var factNames = map[Fact]string{
-	FactMayBlock:        "may-block",
-	FactSpawnsGoroutine: "spawns-goroutine",
-	FactUsesChannel:     "uses-channel",
-	FactUsesSyncLock:    "uses-sync-lock",
-	FactTouchesRegion:   "touches-region",
-	FactIssuesCharge:    "issues-charge",
+// factNames names each fact, indexed by bit position. Everything that
+// walks a fact set walks it in this order, so messages are stable.
+var factNames = [...]string{
+	"spawns-goroutine",
+	"uses-channel",
+	"uses-sync-lock",
+	"touches-region",
+	"issues-charge",
 }
+
+// bit returns the fact at position i of factNames.
+func bit(i int) Fact { return 1 << i }
 
 func (f Fact) String() string {
 	var parts []string
-	for bit, name := range factNames {
-		if f&bit != 0 {
+	for i, name := range factNames {
+		if f&bit(i) != 0 {
 			parts = append(parts, name)
 		}
 	}
@@ -81,8 +82,7 @@ type PkgFacts struct {
 // mechanismPkgs are the packages that implement virtual time itself.
 // Their internal goroutines, channels and locks ARE the mechanism, so
 // those facts do not propagate out of them; what does propagate is the
-// model-level behaviour they provide (blocking, region access,
-// charging).
+// model-level behaviour they provide (region access, charging).
 var mechanismPkgs = map[string]bool{
 	"repro/internal/sim":     true,
 	"repro/internal/core":    true,
@@ -102,15 +102,7 @@ var observerPkgs = map[string]bool{
 
 // mechanismMask is the set of facts allowed to cross out of a
 // mechanism or observer package.
-const mechanismMask = FactMayBlock | FactTouchesRegion | FactIssuesCharge
-
-// blockingCtxMethods are the core.Ctx operations that can park the
-// calling process.
-var blockingCtxMethods = map[string]bool{
-	"Recv": true, "RecvN": true, "Barrier": true,
-	"Atomically": true, "AtomicallyWait": true, "AtomicallyOrElse": true,
-	"HoldCost": true,
-}
+const mechanismMask = FactTouchesRegion | FactIssuesCharge
 
 // syncLockNames are the package sync methods that take or release host
 // locks (or otherwise synchronize host goroutines).
@@ -170,29 +162,22 @@ func seedFacts(pkgPath string, fn *types.Func) Fact {
 	name := fn.Name()
 	switch pkgPath {
 	case "repro/internal/core":
-		if fn.Signature().Recv() != nil {
-			if chargedCtxMethods[name] {
-				f |= FactIssuesCharge
-			}
-			if blockingCtxMethods[name] {
-				f |= FactMayBlock
-			}
+		if fn.Signature().Recv() != nil && chargedCtxMethods[name] {
+			f |= FactIssuesCharge
 		}
 	case "repro/internal/memory":
 		f |= FactTouchesRegion
 		if hasCtxParam(fn) {
-			f |= FactIssuesCharge | FactMayBlock
-		}
-	case "repro/internal/msgpass":
-		if strings.HasPrefix(name, "Send") || strings.HasPrefix(name, "Broadcast") {
 			f |= FactIssuesCharge
 		}
-		if strings.HasPrefix(name, "Recv") || name == "SendSync" {
-			f |= FactIssuesCharge | FactMayBlock
+	case "repro/internal/msgpass":
+		if strings.HasPrefix(name, "Send") || strings.HasPrefix(name, "Broadcast") ||
+			strings.HasPrefix(name, "Recv") {
+			f |= FactIssuesCharge
 		}
 	case "repro/internal/stm":
 		if hasCtxParam(fn) || strings.HasPrefix(name, "Atomically") {
-			f |= FactIssuesCharge | FactMayBlock
+			f |= FactIssuesCharge
 		}
 	}
 	return f
@@ -216,6 +201,7 @@ func hasCtxParam(fn *types.Func) bool {
 // recursion is closed by fixed-point iteration.
 func computeFacts(p *Pkg) *PkgFacts {
 	pf := &PkgFacts{Funcs: map[string]*FuncFacts{}}
+	var decls []*FuncFacts // declaration order, so the fixed point's via choices are stable
 	for _, f := range p.Files {
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)
@@ -230,6 +216,7 @@ func computeFacts(p *Pkg) *PkgFacts {
 			ff.Facts |= seedFacts(p.Path, fn)
 			collectDirectFacts(p, fd.Body, ff)
 			pf.Funcs[funcID(fn)] = ff
+			decls = append(decls, ff)
 		}
 	}
 
@@ -237,26 +224,31 @@ func computeFacts(p *Pkg) *PkgFacts {
 	// stable (handles mutual recursion).
 	for changed := true; changed; {
 		changed = false
-		for _, ff := range pf.Funcs {
+		for _, ff := range decls {
 			for _, callee := range ff.callees {
 				cf, ok := pf.Funcs[callee]
 				if !ok {
 					continue
 				}
-				add := cf.Facts &^ ff.Facts
-				if add != 0 {
-					ff.Facts |= add
-					for bit := range factNames {
-						if add&bit != 0 {
-							ff.Via[bit] = shortName(callee)
-						}
-					}
+				if add := cf.Facts &^ ff.Facts; add != 0 {
+					ff.addVia(add, callee)
 					changed = true
 				}
 			}
 		}
 	}
 	return pf
+}
+
+// addVia adds the facts in add, recording callee as the way each one
+// came in.
+func (ff *FuncFacts) addVia(add Fact, callee string) {
+	for i := range factNames {
+		if add&bit(i) != 0 {
+			ff.Via[bit(i)] = shortName(callee)
+		}
+	}
+	ff.Facts |= add
 }
 
 // collectDirectFacts walks one function body recording syntax-level
@@ -328,13 +320,8 @@ func collectCallFacts(p *Pkg, call *ast.CallExpr, ff *FuncFacts) {
 		if mechanismPkgs[path] || observerPkgs[path] {
 			add &= mechanismMask
 		}
-		if add&^ff.Facts != 0 {
-			for bit := range factNames {
-				if add&bit != 0 && ff.Facts&bit == 0 {
-					ff.Via[bit] = shortName(funcID(fn))
-				}
-			}
-			ff.Facts |= add
+		if add &^= ff.Facts; add != 0 {
+			ff.addVia(add, funcID(fn))
 		}
 	}
 }

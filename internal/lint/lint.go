@@ -2,10 +2,10 @@
 // engine (cmd/stamplint). It is stdlib-only — go/ast, go/parser and
 // go/types over `go list -export` data, in the style of go vet — built
 // around a whole-program layer: per-package function summaries
-// (may-block, spawns-goroutine, uses-channel/sync-lock,
-// touches-region, issues-charge) computed bottom-up along the module's
-// import DAG and consumed by the checks through a lightweight static
-// call graph, with per-package analysis running in parallel.
+// (spawns-goroutine, uses-channel/sync-lock, touches-region,
+// issues-charge) computed bottom-up in dependency order and consumed by
+// the checks through a lightweight static call graph, with packages
+// type-checked in parallel.
 //
 // The suite enforces the discipline the paper's cost formulas assume:
 //

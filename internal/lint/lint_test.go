@@ -383,3 +383,19 @@ func TestFixtureSuppressionAndCounts(t *testing.T) {
 		t.Errorf("%d annotations marked used, want 5 (maprange + backdoor + ckptsafe + determinism + chargeflow)", used)
 	}
 }
+
+// TestFactStringIsStable: a fact set names its facts in bit order, so
+// a finding whose group body reaches several raw-concurrency facts
+// reads the same on every run.
+func TestFactStringIsStable(t *testing.T) {
+	f := FactSpawnsGoroutine | FactUsesChannel | FactUsesSyncLock
+	const want = "spawns-goroutine,uses-channel,uses-sync-lock"
+	for i := 0; i < 200; i++ {
+		if got := f.String(); got != want {
+			t.Fatalf("call %d: %q, want %q", i, got, want)
+		}
+	}
+	if got := Fact(0).String(); got != "none" {
+		t.Fatalf("empty fact set %q, want none", got)
+	}
+}

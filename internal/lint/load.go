@@ -29,8 +29,7 @@ type Pkg struct {
 	Prog   *Program
 
 	goFiles []string  // absolute source paths, go list order
-	imports []string  // module-internal imports
-	facts   *PkgFacts // function summaries; set once, before the package's done channel closes
+	facts   *PkgFacts // function summaries
 }
 
 // Program is a whole-module analysis universe: every module package
@@ -50,7 +49,6 @@ type listEntry struct {
 	Dir        string
 	Export     string
 	GoFiles    []string
-	Imports    []string
 	DepOnly    bool
 	Standard   bool
 	Module     *struct{ Path string }
@@ -105,7 +103,6 @@ func LoadProgram(dir string, patterns []string) (*Program, error) {
 		for _, name := range e.GoFiles {
 			p.goFiles = append(p.goFiles, filepath.Join(e.Dir, name))
 		}
-		p.imports = e.Imports
 		prog.Pkgs = append(prog.Pkgs, p) // go list -deps emits deps first
 		prog.byPath[p.Path] = p
 	}
@@ -113,22 +110,15 @@ func LoadProgram(dir string, patterns []string) (*Program, error) {
 		return nil, fmt.Errorf("lint: no packages matched %v", patterns)
 	}
 
-	// Restrict each package's import list to module-internal packages
-	// we actually loaded — the facts scheduler's dependency edges.
-	for _, p := range prog.Pkgs {
-		var mod []string
-		for _, imp := range p.imports {
-			if _, ok := prog.byPath[imp]; ok {
-				mod = append(mod, imp)
-			}
-		}
-		p.imports = mod
-	}
-
 	if err := prog.parseAndCheck(exports); err != nil {
 		return nil, err
 	}
-	prog.computeAllFacts()
+	// The facts pass runs bottom-up: go list -deps orders every
+	// package after its dependencies, so the facts of any package a
+	// function calls into are already computed when it is summarized.
+	for _, p := range prog.Pkgs {
+		p.facts = computeFacts(p)
+	}
 	return prog, nil
 }
 
@@ -141,10 +131,6 @@ func (prog *Program) isModulePkg(path string) bool {
 
 // FuncFacts returns the summary of the named function in the named
 // package, or nil when unknown (dynamic call, unparsed package).
-//
-// During the facts pass it is called only for packages the caller
-// depends on, whose facts were stored before their done channel closed
-// (see computeAllFacts), so the read needs no lock.
 func (prog *Program) FuncFacts(pkgPath, id string) *FuncFacts {
 	p := prog.byPath[pkgPath]
 	if p == nil || p.facts == nil {
@@ -224,34 +210,4 @@ func (prog *Program) parseAndCheck(exports map[string]string) error {
 	}
 	wg.Wait()
 	return firstErr
-}
-
-// computeAllFacts runs the bottom-up facts pass: packages analyze in
-// parallel, each gated on its module-internal imports (the import DAG
-// is the schedule). A package's facts are stored on its Pkg before its
-// done channel closes, and dependents read them only after receiving
-// from the done channels of their imports — transitively, every
-// package they can call into — so the channel close orders every read
-// after the write.
-func (prog *Program) computeAllFacts() {
-	done := map[string]chan struct{}{}
-	for _, p := range prog.Pkgs {
-		done[p.Path] = make(chan struct{})
-	}
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	var wg sync.WaitGroup
-	for _, p := range prog.Pkgs {
-		wg.Add(1)
-		go func(p *Pkg) {
-			defer wg.Done()
-			for _, imp := range p.imports {
-				<-done[imp]
-			}
-			sem <- struct{}{}
-			p.facts = computeFacts(p)
-			<-sem
-			close(done[p.Path])
-		}(p)
-	}
-	wg.Wait()
 }

@@ -12,7 +12,7 @@ var chargedCtxMethods = map[string]bool{
 	"FpOps": true, "IntOps": true, "LocalOps": true,
 	"HoldCost": true, "ChargeCost": true,
 	"SendTo": true, "Recv": true, "RecvN": true, "BroadcastAll": true,
-	"Atomically": true, "AtomicallyWait": true, "AtomicallyOrElse": true,
+	"Atomically": true, "AtomicallyOrElse": true,
 }
 
 // substratePkgs are the packages whose methods taking a Ctx constitute

@@ -200,6 +200,20 @@ func SingleCore() Config {
 	}
 }
 
+// Preset returns the machine a command line or scenario names: niagara,
+// generic or single.
+func Preset(name string) (Config, error) {
+	switch name {
+	case "niagara":
+		return Niagara(), nil
+	case "generic":
+		return Generic(), nil
+	case "single":
+		return SingleCore(), nil
+	}
+	return Config{}, fmt.Errorf("unknown machine %q (want niagara | generic | single)", name)
+}
+
 // Validate reports configuration errors.
 func (c Config) Validate() error {
 	switch {

@@ -273,3 +273,15 @@ func TestEffFallbackChain(t *testing.T) {
 		t.Fatal("set LC must win")
 	}
 }
+
+func TestPreset(t *testing.T) {
+	for name, want := range map[string]string{"niagara": "niagara", "generic": "generic-cmp", "single": "single-core"} {
+		cfg, err := Preset(name)
+		if err != nil || cfg.Name != want {
+			t.Fatalf("Preset(%q) = %q, %v; want %q", name, cfg.Name, err, want)
+		}
+	}
+	if _, err := Preset("cray"); err == nil || !strings.Contains(err.Error(), "niagara | generic | single") {
+		t.Fatalf("unknown preset error %v does not list the presets", err)
+	}
+}

@@ -8,6 +8,8 @@ package obs_test
 import (
 	"bytes"
 	"encoding/json"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/apps/apsp"
@@ -137,28 +139,23 @@ func TestCollectMetricsIsIdempotent(t *testing.T) {
 	}
 }
 
+// countRoundSamples sums the _count series of the round-time histogram
+// in the Prometheus exposition.
 func countRoundSamples(r *obs.Registry) int64 {
 	var b bytes.Buffer
-	if err := r.WriteJSON(&b); err != nil {
+	if err := r.WritePrometheus(&b); err != nil {
 		return -1
 	}
-	var fams []struct {
-		Name    string `json:"name"`
-		Samples []struct {
-			Count int64 `json:"count"`
-		} `json:"samples"`
-	}
-	if err := json.Unmarshal(b.Bytes(), &fams); err != nil {
-		return -1
-	}
-	for _, f := range fams {
-		if f.Name == "stamp_round_time_ticks" {
-			var n int64
-			for _, s := range f.Samples {
-				n += s.Count
-			}
-			return n
+	var n int64
+	for _, line := range strings.Split(b.String(), "\n") {
+		if !strings.HasPrefix(line, "stamp_round_time_ticks_count") {
+			continue
 		}
+		c, err := strconv.ParseInt(line[strings.LastIndexByte(line, ' ')+1:], 10, 64)
+		if err != nil {
+			return -1
+		}
+		n += c
 	}
-	return 0
+	return n
 }

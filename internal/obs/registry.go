@@ -1,6 +1,6 @@
 // Package obs is the observability layer of the STAMP simulator: a
 // metrics registry (counters, gauges, fixed-bucket histograms with
-// Prometheus-text and JSON exposition), a span-based tracer exporting
+// Prometheus-text exposition), a span-based tracer exporting
 // Chrome trace-event JSON (loadable in Perfetto / chrome://tracing),
 // a virtual-time profiler that decomposes each process's wall time
 // into attributable categories, and model-drift gauges comparing the
@@ -12,7 +12,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -76,9 +75,9 @@ type family struct {
 // lookup returns a nil handle whose operations are no-ops.
 //
 // A Registry is safe for concurrent use: handle updates (Add, Set,
-// Observe, Reset), handle creation and the exposition methods
-// (WritePrometheus, WriteJSON) all serialize on one internal lock, so
-// a scrape taken while a simulation is publishing sees a consistent
+// Observe, Reset), handle creation and the exposition method
+// (WritePrometheus) all serialize on one internal lock, so a scrape
+// taken while a simulation is publishing sees a consistent
 // point-in-time snapshot — never a half-applied update. The disabled
 // (nil) path takes no lock and stays allocation-free.
 type Registry struct {
@@ -263,8 +262,8 @@ func (h Histogram) Reset() {
 
 // Sketch returns the underlying histogram (nil when disabled). The
 // returned histogram is not synchronized — read it only after the
-// writers have quiesced (post-run analysis), or via the exposition
-// methods, which snapshot under the registry lock.
+// writers have quiesced (post-run analysis), or via WritePrometheus,
+// which snapshots under the registry lock.
 func (h Histogram) Sketch() *stats.Histogram {
 	if h.s == nil {
 		return nil
@@ -359,70 +358,4 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// jsonSample / jsonFamily are the JSON exposition shapes.
-type jsonSample struct {
-	Labels map[string]string `json:"labels,omitempty"`
-	Value  float64           `json:"value"`
-	// Histogram-only fields.
-	Count   int64     `json:"count,omitempty"`
-	Sum     float64   `json:"sum,omitempty"`
-	Bounds  []float64 `json:"bounds,omitempty"`
-	Buckets []int64   `json:"buckets,omitempty"`
-	P50     float64   `json:"p50,omitempty"`
-	P90     float64   `json:"p90,omitempty"`
-	P99     float64   `json:"p99,omitempty"`
-}
-
-type jsonFamily struct {
-	Name    string       `json:"name"`
-	Type    string       `json:"type"`
-	Help    string       `json:"help,omitempty"`
-	Samples []jsonSample `json:"samples"`
-}
-
-// WriteJSON writes the registry as a JSON array of metric families in
-// deterministic order. Like WritePrometheus, the snapshot is taken
-// under the registry lock and is consistent mid-run.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	out := []jsonFamily{}
-	if r != nil {
-		r.mu.Lock()
-		names := append([]string(nil), r.order...)
-		sort.Strings(names)
-		for _, name := range names {
-			f := r.fams[name]
-			jf := jsonFamily{Name: f.name, Type: f.typ.String(), Help: f.help}
-			keys := append([]string(nil), f.order...)
-			sort.Strings(keys)
-			for _, key := range keys {
-				s := f.samples[key]
-				js := jsonSample{}
-				if len(s.labels) > 0 {
-					js.Labels = map[string]string{}
-					for _, l := range s.labels {
-						js.Labels[l.Key] = l.Value
-					}
-				}
-				if f.typ == TypeHistogram {
-					js.Count = s.hist.N
-					js.Sum = s.hist.Sum
-					// Copy the live slices: the encoder runs outside the
-					// lock, and the histogram may keep counting meanwhile.
-					js.Bounds = append([]float64(nil), s.hist.Bounds...)
-					js.Buckets = append([]int64(nil), s.hist.Counts...)
-					js.P50, js.P90, js.P99 = s.hist.P50(), s.hist.P90(), s.hist.P99()
-				} else {
-					js.Value = s.val
-				}
-				jf.Samples = append(jf.Samples, js)
-			}
-			out = append(out, jf)
-		}
-		r.mu.Unlock()
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
 }

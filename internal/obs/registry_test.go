@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -115,41 +114,6 @@ func TestPrometheusLabelEscaping(t *testing.T) {
 	}
 	if !strings.Contains(b.String(), `g{k="a\"b\\c\nd"} 1`) {
 		t.Fatalf("escaping wrong: %q", b.String())
-	}
-}
-
-func TestJSONExposition(t *testing.T) {
-	r := NewRegistry()
-	r.Gauge("g", "A gauge.", L("x", "1")).Set(2.5)
-	h := r.Histogram("h", "", []float64{1, 2})
-	for _, v := range []float64{0.5, 1.5, 1.7} {
-		h.Observe(v)
-	}
-	var b bytes.Buffer
-	if err := r.WriteJSON(&b); err != nil {
-		t.Fatal(err)
-	}
-	var fams []struct {
-		Name    string `json:"name"`
-		Type    string `json:"type"`
-		Samples []struct {
-			Labels  map[string]string `json:"labels"`
-			Value   float64           `json:"value"`
-			Count   int64             `json:"count"`
-			Buckets []int64           `json:"buckets"`
-		} `json:"samples"`
-	}
-	if err := json.Unmarshal(b.Bytes(), &fams); err != nil {
-		t.Fatalf("json: %v", err)
-	}
-	if len(fams) != 2 || fams[0].Name != "g" || fams[1].Name != "h" {
-		t.Fatalf("families %+v", fams)
-	}
-	if fams[0].Samples[0].Value != 2.5 || fams[0].Samples[0].Labels["x"] != "1" {
-		t.Fatalf("gauge sample %+v", fams[0].Samples[0])
-	}
-	if fams[1].Type != "histogram" || fams[1].Samples[0].Count != 3 {
-		t.Fatalf("histogram sample %+v", fams[1].Samples[0])
 	}
 }
 

@@ -1,5 +1,5 @@
-// Concurrent-exposition tests: the registry must serve Prometheus and
-// JSON scrapes while a simulation is mutating it and a streaming
+// Concurrent-exposition tests: the registry must serve Prometheus
+// scrapes while a simulation is mutating it and a streaming
 // drainer is folding tracer events into counters — the exact topology
 // cmd/stampserve runs. These tests earn their keep under `go test
 // -race` (the Makefile race target includes this package).
@@ -7,7 +7,6 @@ package obs_test
 
 import (
 	"bytes"
-	"encoding/json"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -41,7 +40,7 @@ func TestConcurrentScrapeDuringRun(t *testing.T) {
 	}()
 	ob.Trace.StreamTo(stream)
 
-	// Scraper: continuous Prometheus + JSON exposition until stopped.
+	// Scraper: continuous Prometheus exposition until stopped.
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	var scrapes int64
@@ -58,14 +57,6 @@ func TestConcurrentScrapeDuringRun(t *testing.T) {
 			}
 			buf.Reset()
 			if err := ob.Reg.WritePrometheus(&buf); err != nil {
-				select {
-				case scrapeErr <- err:
-				default:
-				}
-				return
-			}
-			buf.Reset()
-			if err := ob.Reg.WriteJSON(&buf); err != nil {
 				select {
 				case scrapeErr <- err:
 				default:
@@ -115,14 +106,6 @@ func TestConcurrentScrapeDuringRun(t *testing.T) {
 		if !bytes.Contains(buf.Bytes(), []byte(want)) {
 			t.Errorf("final scrape missing %s", want)
 		}
-	}
-	buf.Reset()
-	if err := ob.Reg.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var families []map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &families); err != nil {
-		t.Fatalf("JSON exposition not parseable: %v", err)
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/fault"
+	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/stm"
@@ -139,7 +140,7 @@ func runExperiment(spec Spec, res *Result) {
 // registry (drift + collected metrics), streaming tracer, profiler.
 // Returns the per-run registry for /runs/{id}/metrics.
 func runApp(spec Spec, res *Result, emit func(obs.Event)) *obs.Registry {
-	cfg, err := machineConfig(spec.Machine)
+	cfg, err := machine.Preset(spec.Machine)
 	if err != nil {
 		res.Status = "failed"
 		res.Error = err.Error()
@@ -165,16 +166,12 @@ func runApp(spec Spec, res *Result, emit func(obs.Event)) *obs.Registry {
 		wg.Wait()
 	}()
 
-	var mgr stm.ContentionManager = stm.Timestamp{}
-	switch spec.Manager {
-	case "passive":
-		mgr = stm.Passive{}
-	case "aggressive":
-		mgr = stm.Aggressive{}
-	case "karma":
-		mgr = stm.Karma{}
+	opts := []core.Option{core.WithObs(ob)}
+	if spec.Manager != "" { // only the STM apps name one; Normalize has checked it
+		mgr, _ := stm.ManagerByName(spec.Manager)
+		opts = append(opts, core.WithContentionManager(mgr))
 	}
-	sys := core.NewSystem(cfg, core.WithObs(ob), core.WithContentionManager(mgr))
+	sys := core.NewSystem(cfg, opts...)
 
 	// The wall-clock deadline: a host timer interrupts the kernel, which
 	// tears the simulation down like any error; setFailed classifies the

@@ -22,6 +22,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/machine"
 	"repro/internal/sim"
+	"repro/internal/stm"
 )
 
 // FaultSpec schedules core failures against an app scenario.
@@ -155,7 +156,7 @@ func (s Spec) normalizeApp() (Spec, error) {
 	if s.Machine == "" {
 		s.Machine = "niagara"
 	}
-	if _, err := machineConfig(s.Machine); err != nil {
+	if _, err := machine.Preset(s.Machine); err != nil {
 		return Spec{}, err
 	}
 	if s.N == 0 {
@@ -219,10 +220,8 @@ func (s Spec) normalizeApp() (Spec, error) {
 		if s.Manager == "" {
 			s.Manager = "timestamp"
 		}
-		switch s.Manager {
-		case "passive", "aggressive", "karma", "timestamp":
-		default:
-			return Spec{}, fmt.Errorf("unknown manager %q (want passive | aggressive | karma | timestamp)", s.Manager)
+		if _, err := stm.ManagerByName(s.Manager); err != nil {
+			return Spec{}, err
 		}
 		if s.App == "airline" {
 			if s.Policy == "" {
@@ -243,7 +242,7 @@ func (s Spec) normalizeApp() (Spec, error) {
 		if len(s.Fault.Failures) == 0 {
 			s.Fault = nil
 		} else {
-			cfg, _ := machineConfig(s.Machine)
+			cfg, _ := machine.Preset(s.Machine)
 			fs := append([]CoreFailureSpec(nil), s.Fault.Failures...)
 			for _, f := range fs {
 				if f.At < 0 {
@@ -271,19 +270,6 @@ func (s Spec) rejectUnused(app string, set bool, what string) error {
 		return fmt.Errorf("app %q does not take %s", app, what)
 	}
 	return nil
-}
-
-// machineConfig resolves a machine preset name.
-func machineConfig(name string) (machine.Config, error) {
-	switch name {
-	case "niagara":
-		return machine.Niagara(), nil
-	case "generic":
-		return machine.Generic(), nil
-	case "single":
-		return machine.SingleCore(), nil
-	}
-	return machine.Config{}, fmt.Errorf("unknown machine %q (want niagara | generic | single)", name)
 }
 
 // Hash returns the scenario's content address: the hex sha256 of the

@@ -1,5 +1,6 @@
-// Package stats provides the small statistical helpers the benchmark
-// harness uses to summarize measured series.
+// Package stats provides the simulator's two statistical helpers: the
+// relative error of a prediction table, and the fixed-bucket histogram
+// behind the obs metrics registry's histograms.
 package stats
 
 import (
@@ -7,79 +8,6 @@ import (
 	"math"
 	"sort"
 )
-
-// Summary is the usual five-number-ish description of a sample.
-type Summary struct {
-	N         int
-	Mean, Std float64
-	Min, Max  float64
-	Median    float64
-	Geomean   float64 // 0 if any value ≤ 0
-	// Tail percentiles (linear interpolation between order statistics).
-	P50, P90, P99 float64
-}
-
-// Summarize computes a Summary of xs. An empty sample yields the zero
-// Summary.
-func Summarize(xs []float64) Summary {
-	var s Summary
-	s.N = len(xs)
-	if s.N == 0 {
-		return s
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	s.Min, s.Max = sorted[0], sorted[s.N-1]
-	if s.N%2 == 1 {
-		s.Median = sorted[s.N/2]
-	} else {
-		s.Median = (sorted[s.N/2-1] + sorted[s.N/2]) / 2
-	}
-	s.P50 = percentileSorted(sorted, 50)
-	s.P90 = percentileSorted(sorted, 90)
-	s.P99 = percentileSorted(sorted, 99)
-	var sum float64
-	logOK := true
-	var logSum float64
-	for _, x := range xs {
-		sum += x
-		if x <= 0 {
-			logOK = false
-		} else {
-			logSum += math.Log(x)
-		}
-	}
-	s.Mean = sum / float64(s.N)
-	if logOK {
-		s.Geomean = math.Exp(logSum / float64(s.N))
-	}
-	var ss float64
-	for _, x := range xs {
-		d := x - s.Mean
-		ss += d * d
-	}
-	if s.N > 1 {
-		s.Std = math.Sqrt(ss / float64(s.N-1))
-	}
-	return s
-}
-
-// String renders a compact summary line.
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.4g std=%.3g min=%.4g med=%.4g p90=%.4g p99=%.4g max=%.4g",
-		s.N, s.Mean, s.Std, s.Min, s.Median, s.P90, s.P99, s.Max)
-}
-
-// Mean returns the arithmetic mean (0 for empty input).
-func Mean(xs []float64) float64 { return Summarize(xs).Mean }
-
-// Ratio returns a/b, or 0 when b is 0 (for speedup columns).
-func Ratio(a, b float64) float64 {
-	if b == 0 {
-		return 0
-	}
-	return a / b
-}
 
 // RelErr returns |measured−predicted| / |predicted| (0 when the
 // prediction is 0), the accuracy column of the prediction tables.
@@ -90,51 +18,14 @@ func RelErr(measured, predicted float64) float64 {
 	return math.Abs(measured-predicted) / math.Abs(predicted)
 }
 
-// Percentile returns the p-th percentile (0 ≤ p ≤ 100) of xs using
-// linear interpolation between closest order statistics. An empty
-// sample yields 0.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	return percentileSorted(sorted, p)
-}
-
-// percentileSorted is Percentile over an already-sorted sample.
-func percentileSorted(sorted []float64, p float64) float64 {
-	n := len(sorted)
-	if n == 0 {
-		return 0
-	}
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[n-1]
-	}
-	rank := p / 100 * float64(n-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
 // Histogram is a fixed-bucket histogram: Bounds are ascending upper
 // bounds, and observations beyond the last bound land in an implicit
-// +Inf overflow bucket. It is the shared sample-sketch of the obs
-// metrics registry and the bench harness.
+// +Inf overflow bucket.
 type Histogram struct {
 	Bounds []float64 // ascending upper bounds (inclusive, Prometheus-style le)
 	Counts []int64   // len(Bounds)+1: last entry is the overflow bucket
 	N      int64
 	Sum    float64
-	MinV   float64
-	MaxV   float64
 }
 
 // NewHistogram builds a histogram over the given ascending upper
@@ -154,18 +45,6 @@ func NewHistogram(bounds []float64) *Histogram {
 	}
 }
 
-// LinearBounds returns n ascending bounds start, start+width, … .
-func LinearBounds(start, width float64, n int) []float64 {
-	if n < 1 || width <= 0 {
-		panic("stats: LinearBounds needs n ≥ 1 and width > 0")
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start + float64(i)*width
-	}
-	return out
-}
-
 // ExpBounds returns n ascending bounds start, start·factor, … .
 func ExpBounds(start, factor float64, n int) []float64 {
 	if n < 1 || start <= 0 || factor <= 1 {
@@ -181,89 +60,17 @@ func ExpBounds(start, factor float64, n int) []float64 {
 }
 
 // Observe records one sample.
+func (h *Histogram) Observe(x float64) {
+	i := sort.SearchFloat64s(h.Bounds, x) // first bound ≥ x
+	h.Counts[i]++
+	h.N++
+	h.Sum += x
+}
+
 // Reset clears every observation, keeping the bucket bounds.
 func (h *Histogram) Reset() {
 	for i := range h.Counts {
 		h.Counts[i] = 0
 	}
-	h.N, h.Sum, h.MinV, h.MaxV = 0, 0, 0, 0
-}
-
-func (h *Histogram) Observe(x float64) {
-	i := sort.SearchFloat64s(h.Bounds, x) // first bound ≥ x
-	h.Counts[i]++
-	if h.N == 0 || x < h.MinV {
-		h.MinV = x
-	}
-	if h.N == 0 || x > h.MaxV {
-		h.MaxV = x
-	}
-	h.N++
-	h.Sum += x
-}
-
-// Mean returns the sample mean (0 when empty).
-func (h *Histogram) Mean() float64 {
-	if h.N == 0 {
-		return 0
-	}
-	return h.Sum / float64(h.N)
-}
-
-// Quantile estimates the q-quantile (0 ≤ q ≤ 1) by linear
-// interpolation within the containing bucket. The overflow bucket
-// reports the maximum observed value; an empty histogram reports 0.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h.N == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	target := q * float64(h.N)
-	var cum int64
-	for i, c := range h.Counts {
-		if float64(cum+c) < target {
-			cum += c
-			continue
-		}
-		if i == len(h.Bounds) { // overflow bucket
-			return h.MaxV
-		}
-		lo := h.MinV
-		if i > 0 {
-			lo = h.Bounds[i-1]
-		}
-		hi := h.Bounds[i]
-		if hi > h.MaxV {
-			hi = h.MaxV
-		}
-		if hi < lo {
-			hi = lo
-		}
-		if c == 0 {
-			return hi
-		}
-		frac := (target - float64(cum)) / float64(c)
-		return lo + (hi-lo)*frac
-	}
-	return h.MaxV
-}
-
-// P50 is Quantile(0.5).
-func (h *Histogram) P50() float64 { return h.Quantile(0.50) }
-
-// P90 is Quantile(0.9).
-func (h *Histogram) P90() float64 { return h.Quantile(0.90) }
-
-// P99 is Quantile(0.99).
-func (h *Histogram) P99() float64 { return h.Quantile(0.99) }
-
-// String renders a compact one-line sketch.
-func (h *Histogram) String() string {
-	return fmt.Sprintf("n=%d mean=%.4g p50=%.4g p90=%.4g p99=%.4g max=%.4g",
-		h.N, h.Mean(), h.P50(), h.P90(), h.P99(), h.MaxV)
+	h.N, h.Sum = 0, 0
 }

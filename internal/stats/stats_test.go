@@ -3,93 +3,7 @@ package stats
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
-
-func TestSummarizeEmpty(t *testing.T) {
-	s := Summarize(nil)
-	if s.N != 0 || s.Mean != 0 || s.Std != 0 {
-		t.Fatalf("empty summary: %+v", s)
-	}
-}
-
-func TestSummarizeSingle(t *testing.T) {
-	s := Summarize([]float64{5})
-	if s.N != 1 || s.Mean != 5 || s.Median != 5 || s.Min != 5 || s.Max != 5 || s.Std != 0 {
-		t.Fatalf("single summary: %+v", s)
-	}
-	if s.Geomean != 5 {
-		t.Fatalf("geomean %g", s.Geomean)
-	}
-}
-
-func TestSummarizeKnownSample(t *testing.T) {
-	s := Summarize([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if s.Mean != 5 {
-		t.Fatalf("mean %g", s.Mean)
-	}
-	if s.Median != 4.5 {
-		t.Fatalf("median %g", s.Median)
-	}
-	if s.Min != 2 || s.Max != 9 {
-		t.Fatalf("min/max %g/%g", s.Min, s.Max)
-	}
-	// Sample std of this classic sample is sqrt(32/7).
-	if math.Abs(s.Std-math.Sqrt(32.0/7)) > 1e-12 {
-		t.Fatalf("std %g", s.Std)
-	}
-}
-
-func TestMedianOddLength(t *testing.T) {
-	s := Summarize([]float64{9, 1, 5})
-	if s.Median != 5 {
-		t.Fatalf("median %g", s.Median)
-	}
-}
-
-func TestSummarizeDoesNotMutateInput(t *testing.T) {
-	in := []float64{3, 1, 2}
-	Summarize(in)
-	if in[0] != 3 || in[1] != 1 || in[2] != 2 {
-		t.Fatalf("input mutated: %v", in)
-	}
-}
-
-func TestGeomeanZeroWithNonPositive(t *testing.T) {
-	if s := Summarize([]float64{1, 0, 4}); s.Geomean != 0 {
-		t.Fatalf("geomean with zero input: %g", s.Geomean)
-	}
-	if s := Summarize([]float64{2, 8}); math.Abs(s.Geomean-4) > 1e-12 {
-		t.Fatalf("geomean of {2,8}: %g", s.Geomean)
-	}
-}
-
-func TestMeanBoundsQuick(t *testing.T) {
-	f := func(raw []uint16) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		xs := make([]float64, len(raw))
-		for i, v := range raw {
-			xs[i] = float64(v)
-		}
-		s := Summarize(xs)
-		return s.Min <= s.Mean && s.Mean <= s.Max &&
-			s.Min <= s.Median && s.Median <= s.Max
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRatio(t *testing.T) {
-	if Ratio(6, 3) != 2 {
-		t.Fatal("ratio wrong")
-	}
-	if Ratio(6, 0) != 0 {
-		t.Fatal("zero denominator not handled")
-	}
-}
 
 func TestRelErr(t *testing.T) {
 	if RelErr(110, 100) != 0.1 {
@@ -103,47 +17,6 @@ func TestRelErr(t *testing.T) {
 	}
 	if RelErr(-110, -100) != 0.1 {
 		t.Fatalf("negative relerr %g", RelErr(-110, -100))
-	}
-}
-
-func TestSummaryString(t *testing.T) {
-	if Summarize([]float64{1, 2, 3}).String() == "" {
-		t.Fatal("empty string")
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{10, 20, 30, 40, 50, 60, 70, 80, 90, 100}
-	if p := Percentile(xs, 0); p != 10 {
-		t.Fatalf("p0 %g", p)
-	}
-	if p := Percentile(xs, 100); p != 100 {
-		t.Fatalf("p100 %g", p)
-	}
-	// rank = 0.5·9 = 4.5 → halfway between 50 and 60.
-	if p := Percentile(xs, 50); math.Abs(p-55) > 1e-12 {
-		t.Fatalf("p50 %g", p)
-	}
-	// rank = 0.9·9 = 8.1 → between 90 and 100.
-	if p := Percentile(xs, 90); math.Abs(p-91) > 1e-12 {
-		t.Fatalf("p90 %g", p)
-	}
-	if p := Percentile(nil, 50); p != 0 {
-		t.Fatalf("empty p50 %g", p)
-	}
-	s := Summarize(xs)
-	if s.P50 != Percentile(xs, 50) || s.P90 != Percentile(xs, 90) || s.P99 != Percentile(xs, 99) {
-		t.Fatalf("summary percentiles: %+v", s)
-	}
-}
-
-func TestPercentileUnsortedInputAndNoMutation(t *testing.T) {
-	in := []float64{9, 1, 5}
-	if p := Percentile(in, 100); p != 9 {
-		t.Fatalf("p100 %g", p)
-	}
-	if in[0] != 9 || in[1] != 1 || in[2] != 5 {
-		t.Fatalf("input mutated: %v", in)
 	}
 }
 
@@ -161,14 +34,12 @@ func TestHistogramBasics(t *testing.T) {
 			t.Fatalf("bucket %d: %d want %d (%v)", i, h.Counts[i], w, h.Counts)
 		}
 	}
-	if h.MinV != 0.5 || h.MaxV != 10 {
-		t.Fatalf("min/max %g/%g", h.MinV, h.MaxV)
+	if math.Abs(h.Sum-(0.5+1.5+1.6+3+10)) > 1e-12 {
+		t.Fatalf("sum %g", h.Sum)
 	}
-	if math.Abs(h.Mean()-(0.5+1.5+1.6+3+10)/5) > 1e-12 {
-		t.Fatalf("mean %g", h.Mean())
-	}
-	if h.String() == "" {
-		t.Fatal("empty string")
+	h.Reset()
+	if h.N != 0 || h.Sum != 0 || h.Counts[3] != 0 || len(h.Bounds) != 3 {
+		t.Fatalf("reset left %+v", h)
 	}
 }
 
@@ -180,38 +51,7 @@ func TestHistogramBoundaryGoesToLowerBucket(t *testing.T) {
 	}
 }
 
-func TestHistogramQuantile(t *testing.T) {
-	h := NewHistogram(LinearBounds(10, 10, 10)) // 10,20,…,100
-	for x := 1.0; x <= 100; x++ {
-		h.Observe(x)
-	}
-	if q := h.Quantile(0.5); math.Abs(q-50) > 10 {
-		t.Fatalf("p50 %g", q)
-	}
-	if q := h.P99(); math.Abs(q-99) > 10 {
-		t.Fatalf("p99 %g", q)
-	}
-	if q := h.Quantile(1); q != 100 {
-		t.Fatalf("p100 %g", q)
-	}
-	var empty = NewHistogram([]float64{1})
-	if empty.Quantile(0.5) != 0 {
-		t.Fatal("empty quantile not 0")
-	}
-	// Overflow-dominated histogram reports the observed max.
-	o := NewHistogram([]float64{1})
-	o.Observe(50)
-	o.Observe(70)
-	if q := o.Quantile(0.9); q != 70 {
-		t.Fatalf("overflow quantile %g", q)
-	}
-}
-
 func TestBucketBuilders(t *testing.T) {
-	lin := LinearBounds(1, 2, 3)
-	if lin[0] != 1 || lin[1] != 3 || lin[2] != 5 {
-		t.Fatalf("linear %v", lin)
-	}
 	exp := ExpBounds(1, 4, 3)
 	if exp[0] != 1 || exp[1] != 4 || exp[2] != 16 {
 		t.Fatalf("exp %v", exp)

@@ -1,6 +1,11 @@
 package stm
 
-import "repro/internal/sim"
+import (
+	"fmt"
+	"strings"
+
+	"repro/internal/sim"
+)
 
 // ContentionManager arbitrates transaction conflicts, in the sense of
 // Scherer & Scott (PODC'05), which the paper cites for "robust
@@ -80,41 +85,21 @@ func (Timestamp) Resolve(attacker, victim *Tx) bool { return attacker.birth < vi
 // Backoff grows linearly with the attempt number.
 func (Timestamp) Backoff(attempt int) sim.Time { return sim.Time(attempt) }
 
-// ExpBackoff wraps another manager, replacing its backoff with a capped
-// exponential schedule.
-type ExpBackoff struct {
-	Inner ContentionManager
-	Base  sim.Time // first wait (default 1)
-	Cap   sim.Time // maximum wait (default 1024)
-}
-
-// Name returns "<inner>+expbackoff".
-func (e ExpBackoff) Name() string { return e.Inner.Name() + "+expbackoff" }
-
-// Resolve delegates to the inner manager.
-func (e ExpBackoff) Resolve(attacker, victim *Tx) bool { return e.Inner.Resolve(attacker, victim) }
-
-// Backoff doubles the wait per attempt up to the cap.
-func (e ExpBackoff) Backoff(attempt int) sim.Time {
-	base, capv := e.Base, e.Cap
-	if base <= 0 {
-		base = 1
-	}
-	if capv <= 0 {
-		capv = 1024
-	}
-	w := base
-	for i := 1; i < attempt && w < capv; i++ {
-		w *= 2
-	}
-	if w > capv {
-		w = capv
-	}
-	return w
-}
-
 // Managers returns one instance of every built-in contention manager,
 // for comparison sweeps.
 func Managers() []ContentionManager {
 	return []ContentionManager{Passive{}, Aggressive{}, Karma{}, Timestamp{}}
+}
+
+// ManagerByName returns the built-in contention manager whose Name is
+// name, or an error listing the valid names.
+func ManagerByName(name string) (ContentionManager, error) {
+	var names []string
+	for _, m := range Managers() {
+		if m.Name() == name {
+			return m, nil
+		}
+		names = append(names, m.Name())
+	}
+	return nil, fmt.Errorf("unknown manager %q (want %s)", name, strings.Join(names, " | "))
 }

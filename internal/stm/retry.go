@@ -1,6 +1,6 @@
 package stm
 
-import "repro/internal/obs"
+import "errors"
 
 // Conditional transactions in the style of composable STM: a
 // transaction body may call tx.Retry() to declare that it cannot
@@ -11,15 +11,13 @@ import "repro/internal/obs"
 // retry does the process block.
 
 // errRetry is the panic sentinel for tx.Retry.
-var errRetry = &retrySignal{}
-
-type retrySignal struct{}
-
-func (*retrySignal) Error() string { return "stm: transaction retry requested" }
+var errRetry = errors.New("stm: transaction retry requested")
 
 // Retry aborts the current attempt and blocks the process until another
 // transaction commits anywhere in this STM, then re-executes the body.
-// Call it when the transaction's precondition does not hold.
+// Call it when the transaction's precondition does not hold. A Retry
+// that no other process can satisfy surfaces as the simulator's
+// deadlock error.
 func (tx *Tx) Retry() {
 	panic(errRetry)
 }
@@ -29,136 +27,6 @@ func (s *STM) wakeCommitWaiters() {
 	if s.commitWaiters.Len() > 0 {
 		s.commitWaiters.Broadcast(s.m.K)
 	}
-}
-
-// AtomicallyWait is Atomically plus Retry support: when the body
-// retries, the attempt rolls back and the process sleeps until any
-// commit happens, then the body re-runs. Deadlock (retry with no
-// possible writer) surfaces as the simulator's deadlock error.
-func (s *STM) AtomicallyWait(a Agent, body func(tx *Tx) error) (Outcome, error) {
-	return s.atomicallyAlt(a, body, nil)
-}
-
-// AtomicallyOrElse runs first; if it calls Retry, its effects roll back
-// and second runs instead. If both retry, the process blocks until a
-// commit and the pair re-runs from first. A user error from either
-// branch aborts without retry, as in Atomically.
-func (s *STM) AtomicallyOrElse(a Agent, first, second func(tx *Tx) error) (Outcome, error) {
-	return s.atomicallyAlt(a, first, second)
-}
-
-// atomicallyAlt is the engine behind AtomicallyWait/AtomicallyOrElse.
-func (s *STM) atomicallyAlt(a Agent, first, second func(tx *Tx) error) (Outcome, error) {
-	var out Outcome
-	birth := s.nextBirth()
-	var karma int64
-	prof := a.Profile()
-	for attempt := 1; ; attempt++ {
-		out.Attempts = attempt
-		wantRetryBlock := false
-
-		runOne := func(body func(tx *Tx) error) (err error, aborted, retried, committed bool) {
-			snap := prof.Snapshot()
-			t0 := a.Proc().Now()
-			// Any rolled-back branch — retried, aborted, or failed
-			// commit — folds its whole elapsed cost into CatTxRetry.
-			fold := func() { prof.FoldSince(snap, a.Proc().Now()-t0, obs.CatTxRetry) }
-			tx := s.newTx(a, nil, attempt, birth, karma)
-			err, aborted, retried = runBodyRetry(tx, body)
-			if retried || aborted || tx.state == txAborted {
-				tx.state = txAborted
-				tx.releaseAll()
-				karma = tx.karma
-				fold()
-				return err, aborted, retried, false
-			}
-			if err != nil {
-				tx.state = txAborted
-				tx.releaseAll()
-				fold()
-				return err, false, false, false
-			}
-			if !tx.commitTop() {
-				tx.state = txAborted
-				tx.releaseAll()
-				karma = tx.karma
-				fold()
-				return nil, true, false, false
-			}
-			return nil, false, false, true
-		}
-
-		err, aborted, retried, committed := runOne(first)
-		if committed {
-			s.commits++
-			a.Counters().TxCommits++
-			s.wakeCommitWaiters()
-			out.Committed = true
-			return out, nil
-		}
-		switch {
-		case retried && second != nil:
-			// First branch declined: try the alternative.
-			err2, aborted2, retried2, committed2 := runOne(second)
-			if committed2 {
-				s.commits++
-				a.Counters().TxCommits++
-				s.wakeCommitWaiters()
-				out.Committed = true
-				return out, nil
-			}
-			if err2 != nil && !aborted2 && !retried2 {
-				out.Err = err2
-				return out, err2
-			}
-			if retried2 {
-				wantRetryBlock = true
-			}
-			// system abort of the alternative: fall through to retry
-		case retried:
-			wantRetryBlock = true
-		case err != nil && !aborted:
-			// user-level abort, no retry
-			out.Err = err
-			return out, err
-		}
-
-		s.aborts++
-		a.Counters().TxAborts++
-		if wantRetryBlock {
-			// Block until some transaction commits, then re-run.
-			p := a.Proc()
-			before := p.Now()
-			s.commitWaiters.Wait(p)
-			a.Counters().QueueWait += p.Now() - before
-			prof.Charge(obs.CatTxRetry, p.Now()-before)
-			continue
-		}
-		wait := s.Manager.Backoff(attempt) + backoffJitter(birth, attempt)
-		if wait > 0 {
-			out.Backoff += wait
-			a.Proc().Hold(wait)
-			prof.Charge(obs.CatTxRetry, wait)
-		}
-	}
-}
-
-// runBodyRetry executes body, separating abort and retry unwinds.
-func runBodyRetry(tx *Tx, body func(*Tx) error) (err error, aborted, retried bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			if r == error(errAbort) {
-				aborted = true
-				return
-			}
-			if sig, ok := r.(*retrySignal); ok && sig == errRetry {
-				retried = true
-				return
-			}
-			panic(r)
-		}
-	}()
-	return body(tx), false, false
 }
 
 // Waiters returns how many processes are blocked in a Retry (for

@@ -9,6 +9,19 @@ import (
 	"repro/internal/sim"
 )
 
+// entryPoints runs one body through each top-level entry point, so a
+// schedule can be pinned against both: Atomically is an OrElse with no
+// alternative and must behave exactly like one.
+var entryPoints = []struct {
+	name string
+	run  func(s *STM, a Agent, body func(*Tx) error) (Outcome, error)
+}{
+	{"Atomically", (*STM).Atomically},
+	{"OrElse", func(s *STM, a Agent, body func(*Tx) error) (Outcome, error) {
+		return s.AtomicallyOrElse(a, body, nil)
+	}},
+}
+
 // boundedBuffer is the classic composable-STM structure: Put retries
 // when full, Take retries when empty.
 type boundedBuffer struct {
@@ -32,7 +45,7 @@ func newBuffer(s *STM, capacity int) *boundedBuffer {
 }
 
 func (b *boundedBuffer) put(a Agent, v int64) error {
-	_, err := b.s.AtomicallyWait(a, func(tx *Tx) error {
+	_, err := b.s.Atomically(a, func(tx *Tx) error {
 		n := b.size.Get(tx)
 		if n >= int64(b.cap) {
 			tx.Retry()
@@ -47,7 +60,7 @@ func (b *boundedBuffer) put(a Agent, v int64) error {
 
 func (b *boundedBuffer) take(a Agent) (int64, error) {
 	var out int64
-	_, err := b.s.AtomicallyWait(a, func(tx *Tx) error {
+	_, err := b.s.Atomically(a, func(tx *Tx) error {
 		n := b.size.Get(tx)
 		if n == 0 {
 			tx.Retry()
@@ -102,36 +115,98 @@ func TestBoundedBufferProducerConsumer(t *testing.T) {
 }
 
 func TestRetryBlocksUntilCommit(t *testing.T) {
-	k, s := rig(nil)
-	flag := NewTVar(s, "flag", int64(0))
-	var observedAt sim.Time
-	k.Spawn("waiter", func(p *sim.Proc) {
-		a := agenttest.New(p, 0)
-		if _, err := s.AtomicallyWait(a, func(tx *Tx) error {
-			if flag.Get(tx) == 0 {
-				tx.Retry()
+	for _, ep := range entryPoints {
+		t.Run(ep.name, func(t *testing.T) {
+			k, s := rig(nil)
+			flag := NewTVar(s, "flag", int64(0))
+			var observedAt sim.Time
+			runs := 0
+			var out Outcome
+			k.Spawn("waiter", func(p *sim.Proc) {
+				a := agenttest.New(p, 0)
+				var err error
+				out, err = ep.run(s, a, func(tx *Tx) error {
+					runs++
+					if flag.Get(tx) == 0 {
+						tx.Retry()
+					}
+					return nil
+				})
+				if err != nil {
+					t.Errorf("wait: %v", err)
+				}
+				observedAt = p.Now()
+			})
+			k.Spawn("setter", func(p *sim.Proc) {
+				a := agenttest.New(p, 4)
+				p.Hold(100)
+				if _, err := s.Atomically(a, func(tx *Tx) error {
+					flag.Set(tx, 1)
+					return nil
+				}); err != nil {
+					t.Error(err)
+				}
+			})
+			if err := k.Run(); err != nil {
+				t.Fatal(err)
 			}
-			return nil
-		}); err != nil {
-			t.Errorf("wait: %v", err)
-		}
-		observedAt = p.Now()
-	})
-	k.Spawn("setter", func(p *sim.Proc) {
-		a := agenttest.New(p, 4)
-		p.Hold(100)
-		if _, err := s.Atomically(a, func(tx *Tx) error {
-			flag.Set(tx, 1)
-			return nil
-		}); err != nil {
-			t.Error(err)
-		}
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
+			if observedAt < 100 {
+				t.Fatalf("waiter proceeded at %d before the flag was set", observedAt)
+			}
+			if runs != 2 || out.Attempts != 2 || !out.Committed {
+				t.Fatalf("body ran %d times, outcome %+v; want one retry, then a commit", runs, out)
+			}
+		})
 	}
-	if observedAt < 100 {
-		t.Fatalf("waiter proceeded at %d before the flag was set", observedAt)
+}
+
+// TestRetryInsideNestedReleasesChild: a Retry raised inside a nested
+// child rolls the child back before the whole transaction blocks, so a
+// writer can take the variables the child had acquired.
+func TestRetryInsideNestedReleasesChild(t *testing.T) {
+	for _, ep := range entryPoints {
+		t.Run(ep.name, func(t *testing.T) {
+			k, s := rig(Passive{})
+			k.MaxEvents = 200_000
+			v := NewTVar(s, "v", int64(0))
+			gate := NewTVar(s, "gate", int64(0))
+			var got int64
+			k.Spawn("waiter", func(p *sim.Proc) {
+				a := agenttest.New(p, 0)
+				if _, err := ep.run(s, a, func(tx *Tx) error {
+					return tx.Nested(func(c *Tx) error {
+						v.Set(c, 1)
+						if gate.Get(c) == 0 {
+							c.Retry()
+						}
+						got = v.Get(c)
+						return nil
+					})
+				}); err != nil {
+					t.Errorf("waiter: %v", err)
+				}
+			})
+			k.Spawn("writer", func(p *sim.Proc) {
+				a := agenttest.New(p, 4)
+				p.Hold(50)
+				if _, err := s.Atomically(a, func(tx *Tx) error {
+					v.Set(tx, 2)
+					gate.Set(tx, 1)
+					return nil
+				}); err != nil {
+					t.Errorf("writer: %v", err)
+				}
+			})
+			if err := k.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if got != 1 || v.Value() != 1 || gate.Value() != 1 {
+				t.Fatalf("got %d, v %d, gate %d; want the waiter's write to land last", got, v.Value(), gate.Value())
+			}
+			if s.Waiters() != 0 {
+				t.Fatalf("leftover retry waiters: %d", s.Waiters())
+			}
+		})
 	}
 }
 
@@ -140,7 +215,7 @@ func TestRetryWithNoWriterDeadlocks(t *testing.T) {
 	v := NewTVar(s, "v", int64(0))
 	k.Spawn("stuck", func(p *sim.Proc) {
 		a := agenttest.New(p, 0)
-		_, _ = s.AtomicallyWait(a, func(tx *Tx) error {
+		_, _ = s.Atomically(a, func(tx *Tx) error {
 			if v.Get(tx) == 0 {
 				tx.Retry()
 			}
@@ -278,27 +353,5 @@ func TestOrElseUserErrorNoRetry(t *testing.T) {
 	}
 	if v.Value() != 0 {
 		t.Fatal("errored branch committed")
-	}
-}
-
-func TestAtomicallyWaitWithoutRetryBehavesLikeAtomically(t *testing.T) {
-	k, s := rig(Timestamp{})
-	v := NewTVar(s, "v", int64(0))
-	for i := 0; i < 6; i++ {
-		k.Spawn("p", func(p *sim.Proc) {
-			a := agenttest.New(p, 0)
-			if _, err := s.AtomicallyWait(a, func(tx *Tx) error {
-				v.Modify(tx, func(x int64) int64 { return x + 1 })
-				return nil
-			}); err != nil {
-				t.Error(err)
-			}
-		})
-	}
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if v.Value() != 6 {
-		t.Fatalf("counter %d, want 6", v.Value())
 	}
 }

@@ -512,21 +512,13 @@ func (tx *Tx) validate() bool {
 	return true
 }
 
-// commitTop publishes a top-level transaction. Returns false (and rolls
-// back) on validation failure or if the transaction was force-aborted
-// by a contention manager after its last operation.
+// commitTop publishes a top-level transaction. It returns false on
+// validation failure, or when a contention manager force-aborted the
+// transaction mid-validate; runBody then rolls it back.
 func (tx *Tx) commitTop() bool {
-	if tx.state == txAborted {
-		return false // already rolled back by forceAbort
-	}
-	if !tx.validate() {
-		tx.state = txAborted
-		tx.releaseAll()
-		return false
-	}
 	// Validation charges time (yields), so a contention manager may
 	// have force-aborted us mid-validate; re-check before publishing.
-	if tx.state == txAborted {
+	if !tx.validate() || tx.state == txAborted {
 		return false
 	}
 	for _, v := range tx.owned {
@@ -540,29 +532,17 @@ func (tx *Tx) commitTop() bool {
 
 // commitNested merges a child into its parent: read set entries move up,
 // owned vars are reassigned, saved ancestor buffers are kept (the new
-// values stand).
+// values stand). It returns false, for runBody to roll back, when the
+// child fails validation or an ancestor was force-aborted.
 func (tx *Tx) commitNested() bool {
 	// Merging into a force-aborted ancestor would leak ownership: the
 	// ancestor has already released everything it will ever release,
 	// so variables reassigned to it now would stay owned by a dead
-	// transaction forever. Check the whole chain, not just this tx.
-	if tx.chainAborted() {
-		tx.state = txAborted
-		tx.releaseAll()
-		return false
-	}
-	// A nested commit validates its own read set so conflicts surface
-	// as early as the child boundary.
-	if !tx.validate() {
-		tx.state = txAborted
-		tx.releaseAll()
-		return false
-	}
-	// Validation yields; an ancestor (or this tx) may have been
-	// force-aborted meanwhile — re-check before merging.
-	if tx.chainAborted() {
-		tx.state = txAborted
-		tx.releaseAll()
+	// transaction forever. Check the whole chain, not just this tx. A
+	// nested commit validates its own read set so conflicts surface as
+	// early as the child boundary; validation yields, so the chain is
+	// checked again before merging.
+	if tx.chainAborted() || !tx.validate() || tx.chainAborted() {
 		return false
 	}
 	p := tx.parent
@@ -590,14 +570,16 @@ type Outcome struct {
 	Committed bool
 	Attempts  int      // total attempts including the successful one
 	Err       error    // user error returned by the body, if any
-	WastedOps int64    // karma accumulated by aborted attempts
+	WastedOps int64    // karma accumulated by rolled-back attempts
 	Backoff   sim.Time // total backoff wait
 }
 
 // Atomically runs body as a transaction on behalf of agent a, retrying
 // aborted attempts with the manager's backoff until commit, or until
 // body returns a non-nil error (a user-level abort: the attempt is
-// rolled back and the error returned without retry).
+// rolled back and the error returned without retry). A body that calls
+// tx.Retry() rolls back and blocks until another transaction commits,
+// then runs again.
 //
 // All retries share one birth stamp and accumulate karma, and a small
 // deterministic jitter derived from the birth is added to the backoff
@@ -605,56 +587,73 @@ type Outcome struct {
 // (the deterministic simulator would otherwise replay identical
 // conflict schedules indefinitely).
 func (s *STM) Atomically(a Agent, body func(tx *Tx) error) (Outcome, error) {
+	return s.AtomicallyOrElse(a, body, nil)
+}
+
+// AtomicallyOrElse is Atomically with an alternative: if first calls
+// Retry, its effects roll back and second (when non-nil) runs in the
+// same attempt instead. If every branch retries, the process blocks
+// until a commit and the attempt re-runs from first. A user error from
+// either branch aborts without retry.
+func (s *STM) AtomicallyOrElse(a Agent, first, second func(tx *Tx) error) (Outcome, error) {
 	var out Outcome
 	birth := s.nextBirth()
 	var karma int64
-	prof := a.Profile()
-	for attempt := 1; ; attempt++ {
-		out.Attempts = attempt
-		snap := prof.Snapshot()
-		t0 := a.Proc().Now()
-		tx := s.newTx(a, nil, attempt, birth, karma)
-		err, aborted := runBody(tx, body)
-		// A force-abort after the body's last operation also voids the
-		// attempt: a zombie body's return value may rest on
-		// inconsistent reads, so it must not be trusted.
-		if aborted || tx.state == txAborted || (err == nil && !tx.commitTop()) {
-			// Defensive rollback: even force-aborted attempts release
-			// again here, in case an in-flight operation acquired
-			// anything after the force-abort's release (releaseAll is
-			// idempotent).
-			tx.state = txAborted
-			tx.releaseAll()
-			s.aborts++
-			a.Counters().TxAborts++
+	p, prof := a.Proc(), a.Profile()
+	// run executes one branch as a fresh top-level transaction. A
+	// rolled-back run is retried work: its whole elapsed time folds
+	// into CatTxRetry, and an aborted or retried one carries its karma
+	// into the next run.
+	run := func(body func(*Tx) error) (result, error) {
+		snap, t0 := prof.Snapshot(), p.Now()
+		tx := s.newTx(a, nil, out.Attempts, birth, karma)
+		res, err := runBody(tx, body)
+		if res == resCommit {
+			return res, nil
+		}
+		prof.FoldSince(snap, p.Now()-t0, obs.CatTxRetry)
+		if res != resUserAbort {
 			out.WastedOps += tx.karma - karma
 			karma = tx.karma
-			// The whole rolled-back attempt is retried work.
-			prof.FoldSince(snap, a.Proc().Now()-t0, obs.CatTxRetry)
-			wait := s.Manager.Backoff(attempt) + backoffJitter(birth, attempt)
-			if wait > 0 {
-				out.Backoff += wait
-				a.Proc().Hold(wait)
-				prof.Charge(obs.CatTxRetry, wait)
-			}
-			continue
 		}
-		if err != nil {
-			// User-level abort: roll back effects, do not retry.
-			tx.state = txAborted
-			tx.releaseAll()
-			prof.FoldSince(snap, a.Proc().Now()-t0, obs.CatTxRetry)
+		return res, err
+	}
+	for attempt := 1; ; attempt++ {
+		out.Attempts = attempt
+		res, err := run(first)
+		if res == resRetry && second != nil {
+			res, err = run(second)
+		}
+		switch res {
+		case resCommit:
+			s.commits++
+			a.Counters().TxCommits++
+			if s.probe != nil {
+				s.probe.TxCommit(p)
+			}
+			s.wakeCommitWaiters()
+			out.Committed = true
+			return out, nil
+		case resUserAbort:
 			out.Err = err
 			return out, err
 		}
-		s.commits++
-		a.Counters().TxCommits++
-		if s.probe != nil {
-			s.probe.TxCommit(a.Proc())
+		s.aborts++
+		a.Counters().TxAborts++
+		if res == resRetry {
+			// Block until some transaction commits, then re-run.
+			before := p.Now()
+			s.commitWaiters.Wait(p)
+			a.Counters().QueueWait += p.Now() - before
+			prof.Charge(obs.CatTxRetry, p.Now()-before)
+			continue
 		}
-		s.wakeCommitWaiters()
-		out.Committed = true
-		return out, nil
+		wait := s.Manager.Backoff(attempt) + backoffJitter(birth, attempt)
+		if wait > 0 {
+			out.Backoff += wait
+			p.Hold(wait)
+			prof.Charge(obs.CatTxRetry, wait)
+		}
 	}
 }
 
@@ -670,36 +669,83 @@ func backoffJitter(birth uint64, attempt int) sim.Time {
 // abort of the child (conflict, force-abort, failed validation)
 // restarts the whole top-level transaction: retrying just the child
 // while ancestors keep their acquisitions would preserve wait-for
-// cycles between transactions.
+// cycles between transactions. A Retry in the child rolls the child
+// back and retries the whole transaction the same way.
 func (tx *Tx) Nested(body func(child *Tx) error) error {
 	if tx == nil {
 		panic(ErrNotAtomic)
 	}
 	tx.checkAlive()
 	child := tx.s.newTx(tx.agent, tx, 1, 0, 0)
-	err, aborted := runBody(child, body)
-	if aborted || child.state == txAborted || (err == nil && !child.commitNested()) {
+	switch res, err := runBody(child, body); res {
+	case resAbort:
 		child.abortSelf() // aborts the whole chain, unwinds to the top
-	}
-	if err != nil {
-		child.state = txAborted
-		child.releaseAll()
+	case resRetry:
+		panic(errRetry) // the child has released its acquisitions
+	case resUserAbort:
 		return err
 	}
 	return nil
 }
 
-// runBody executes body, converting the abort panic into the aborted
-// flag; other panics propagate.
-func runBody(tx *Tx, body func(*Tx) error) (err error, aborted bool) {
+// result is how one run of a transaction body ended.
+type result uint8
+
+const (
+	resCommit    result = iota // body returned nil and tx committed (into its parent when nested)
+	resUserAbort               // body returned an error; rolled back, not retried
+	resAbort                   // conflict, force-abort or failed validation; rolled back
+	resRetry                   // body called Retry; rolled back
+)
+
+// runBody runs body in tx, then commits tx or rolls it back, and
+// reports how the run ended. A force-abort voids the run whatever the
+// body returned or signalled: a zombie's error or Retry may rest on
+// inconsistent reads.
+func runBody(tx *Tx, body func(*Tx) error) (result, error) {
+	res, err := unwind(tx, body)
+	if tx.state == txAborted {
+		res = resAbort
+	}
+	if res == resCommit && !tx.commit() {
+		res = resAbort
+	}
+	if res != resCommit {
+		// Force-aborted runs release again here, in case an in-flight
+		// operation acquired anything after the force-abort's release
+		// (releaseAll is idempotent).
+		tx.state = txAborted
+		tx.releaseAll()
+	}
+	return res, err
+}
+
+// unwind calls body, turning the abort and retry unwinds into results;
+// any other panic propagates.
+func unwind(tx *Tx, body func(*Tx) error) (res result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			if r == errAbort { //nolint:errorlint // sentinel identity
-				aborted = true
-				return
+			switch r {
+			case errAbort:
+				res = resAbort
+			case errRetry:
+				res = resRetry
+			default:
+				panic(r)
 			}
-			panic(r)
 		}
 	}()
-	return body(tx), false
+	if err = body(tx); err != nil {
+		return resUserAbort, err
+	}
+	return resCommit, nil
+}
+
+// commit publishes a top-level tx or merges a nested one into its
+// parent.
+func (tx *Tx) commit() bool {
+	if tx.parent == nil {
+		return tx.commitTop()
+	}
+	return tx.commitNested()
 }

@@ -3,6 +3,7 @@ package stm
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -455,32 +456,115 @@ func TestModify(t *testing.T) {
 }
 
 func TestOutcomeWastedWork(t *testing.T) {
-	_, attempts := incrementers(t, Timestamp{}, 6, 25)
-	if attempts <= 6 {
-		t.Skip("no contention materialized") // should not happen, guard anyway
-	}
-	// The abort counters must agree with attempts.
-	// (attempts - committed) == aborts; verified via a fresh run below.
-	k, s := rig(Timestamp{})
-	v := NewTVar(s, "v", int64(0))
-	total := 0
-	for i := 0; i < 6; i++ {
-		k.Spawn("p", func(p *sim.Proc) {
-			a := agenttest.New(p, 0)
-			out, _ := s.Atomically(a, func(tx *Tx) error {
-				old := v.Get(tx)
-				p.Hold(25)
-				v.Set(tx, old+1)
-				return nil
+	for _, ep := range entryPoints {
+		t.Run(ep.name, func(t *testing.T) {
+			// Six contending incrementers: every attempt ends in the
+			// commit or in one abort, and every aborted attempt made at
+			// least one transactional access before it rolled back.
+			k, s := rig(Timestamp{})
+			v := NewTVar(s, "v", int64(0))
+			total := 0
+			var wasted int64
+			for i := 0; i < 6; i++ {
+				k.Spawn("p", func(p *sim.Proc) {
+					a := agenttest.New(p, 0)
+					out, _ := ep.run(s, a, func(tx *Tx) error {
+						old := v.Get(tx)
+						p.Hold(25)
+						v.Set(tx, old+1)
+						return nil
+					})
+					total += out.Attempts
+					wasted += out.WastedOps
+				})
+			}
+			if err := k.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if s.Aborts() == 0 {
+				t.Fatal("no contention materialized")
+			}
+			if int64(total) != s.Commits()+s.Aborts() {
+				t.Fatalf("attempts %d != commits %d + aborts %d", total, s.Commits(), s.Aborts())
+			}
+			if wasted < s.Aborts() {
+				t.Fatalf("wasted ops %d < aborts %d", wasted, s.Aborts())
+			}
+
+			// One force-abort of a two-access attempt wastes exactly
+			// those two accesses.
+			k, s = rig(Aggressive{})
+			u := NewTVar(s, "u", int64(0))
+			v = NewTVar(s, "v", int64(0))
+			var out Outcome
+			k.Spawn("victim", func(p *sim.Proc) {
+				a := agenttest.New(p, 0)
+				out, _ = ep.run(s, a, func(tx *Tx) error {
+					v.Set(tx, u.Get(tx)+1)
+					p.Hold(30)
+					return nil
+				})
 			})
-			total += out.Attempts
+			k.Spawn("attacker", func(p *sim.Proc) {
+				a := agenttest.New(p, 4)
+				p.Hold(5)
+				if _, err := s.Atomically(a, func(tx *Tx) error {
+					v.Set(tx, 2)
+					return nil
+				}); err != nil {
+					t.Error(err)
+				}
+			})
+			if err := k.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if out.Attempts != 2 || out.WastedOps != 2 {
+				t.Fatalf("victim attempts %d wasted %d, want 2 and 2", out.Attempts, out.WastedOps)
+			}
 		})
 	}
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if int64(total) != s.Commits()+s.Aborts() {
-		t.Fatalf("attempts %d != commits %d + aborts %d", total, s.Commits(), s.Aborts())
+}
+
+// TestForceAbortedUserErrorRetries pins the zombie rule: an attempt a
+// contention manager aborted counts as an abort whatever its body
+// returned, because the body ran on reads that may be inconsistent.
+func TestForceAbortedUserErrorRetries(t *testing.T) {
+	for _, ep := range entryPoints {
+		t.Run(ep.name, func(t *testing.T) {
+			k, s := rig(Aggressive{})
+			v := NewTVar(s, "v", int64(0))
+			boom := errors.New("boom")
+			var out Outcome
+			var err error
+			k.Spawn("victim", func(p *sim.Proc) {
+				a := agenttest.New(p, 0)
+				out, err = ep.run(s, a, func(tx *Tx) error {
+					v.Set(tx, 1)
+					p.Hold(100) // force-aborted during the hold
+					return boom
+				})
+			})
+			k.Spawn("attacker", func(p *sim.Proc) {
+				a := agenttest.New(p, 4)
+				p.Hold(5)
+				if _, err := s.Atomically(a, func(tx *Tx) error {
+					v.Set(tx, 2)
+					return nil
+				}); err != nil {
+					t.Error(err)
+				}
+			})
+			if err := k.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if !errors.Is(err, boom) || out.Attempts != 2 || s.Aborts() != 1 {
+				t.Fatalf("err %v, attempts %d, aborts %d; want boom after 2 attempts and 1 abort",
+					err, out.Attempts, s.Aborts())
+			}
+			if v.Value() != 2 {
+				t.Fatalf("v = %d, want the attacker's 2", v.Value())
+			}
+		})
 	}
 }
 
@@ -496,24 +580,6 @@ func TestAbortRate(t *testing.T) {
 	}
 }
 
-func TestExpBackoffSchedule(t *testing.T) {
-	e := ExpBackoff{Inner: Passive{}, Base: 2, Cap: 16}
-	want := []sim.Time{2, 4, 8, 16, 16, 16}
-	for i, w := range want {
-		if got := e.Backoff(i + 1); got != w {
-			t.Fatalf("backoff(%d) = %d, want %d", i+1, got, w)
-		}
-	}
-	if e.Name() != "passive+expbackoff" {
-		t.Fatalf("name %q", e.Name())
-	}
-	// Defaults kick in for zero values.
-	d := ExpBackoff{Inner: Karma{}}
-	if d.Backoff(1) != 1 || d.Backoff(20) != 1024 {
-		t.Fatalf("default backoff wrong: %d %d", d.Backoff(1), d.Backoff(20))
-	}
-}
-
 func TestManagerNames(t *testing.T) {
 	want := map[string]bool{"passive": true, "aggressive": true, "karma": true, "timestamp": true}
 	for _, m := range Managers() {
@@ -524,6 +590,15 @@ func TestManagerNames(t *testing.T) {
 	}
 	if len(want) != 0 {
 		t.Fatalf("missing managers: %v", want)
+	}
+	for _, m := range Managers() {
+		if got, err := ManagerByName(m.Name()); err != nil || got != m {
+			t.Fatalf("ManagerByName(%q) = %v, %v", m.Name(), got, err)
+		}
+	}
+	if _, err := ManagerByName("greedy"); err == nil ||
+		!strings.Contains(err.Error(), "passive | aggressive | karma | timestamp") {
+		t.Fatalf("unknown manager error %v does not list the managers", err)
 	}
 }
 

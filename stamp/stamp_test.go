@@ -175,7 +175,7 @@ func TestRetryFacade(t *testing.T) {
 	v := stamp.NewTVar(sys, "v", int64(0))
 	var got int64
 	sys.NewGroup("w", stamp.Attrs{Comm: stamp.AsyncComm}, 1, func(ctx *stamp.Ctx) {
-		if _, err := ctx.AtomicallyWait(func(tx *stamp.Tx) error {
+		if _, err := ctx.Atomically(func(tx *stamp.Tx) error {
 			if v.Get(tx) == 0 {
 				tx.Retry()
 			}
