@@ -37,13 +37,15 @@ vet:
 lint: vet
 	$(GO) run ./cmd/stamplint ./...
 
-# Everything that runs host goroutines under the Go race detector: the
-# kernel's baton handoffs and teardown, Systems running side by side in
-# one process (the parallel experiment harness, the *UnderShards
-# suites), the observer sinks read while a run streams, stampserve, and
-# the lint engine's parallel type-checks.
+# Everything that runs host goroutines under the Go race detector: every
+# package that runs kernels, which guards the coroutine switches between
+# Run's goroutine and the process bodies and the teardown that unwinds
+# them on Run's goroutine; Systems running side by side in one process
+# (the parallel experiment harness, the *UnderShards suites); the
+# observer sinks read while a run streams; stampserve; and the lint
+# engine's parallel type-checks.
 race:
-	$(GO) test -race ./internal/sim/... ./internal/core/... ./internal/experiments/... ./internal/obs/... ./internal/msgpass/... ./internal/fault/... ./internal/racedet/... ./internal/ckpt/... ./internal/serve/... ./internal/lint/...
+	$(GO) test -race ./internal/sim/... ./internal/core/... ./internal/experiments/... ./internal/obs/... ./internal/msgpass/... ./internal/fault/... ./internal/racedet/... ./internal/ckpt/... ./internal/serve/... ./internal/lint/... ./internal/stm/... ./internal/apps/... ./internal/adapt/... ./stamp/...
 
 # Black-box e2e: boot stampserve on an ephemeral port, submit scenarios
 # over HTTP and assert on the event stream, /metrics and the scenario

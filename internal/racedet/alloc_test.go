@@ -13,7 +13,7 @@ import (
 // memory access, a barrier arrival, a wait-queue hand-off. With no
 // probe attached each hook site must cost exactly one nil check —
 // these tests pin that the instrumented paths still allocate nothing
-// (the sim package's own AllocsPerRun tests cover Hold and the baton
+// (the sim package's own AllocsPerRun tests cover Hold and the process
 // handoff; these cover the substrate-level paths the hooks were added
 // to).
 

@@ -1,11 +1,14 @@
 package sim
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 // The dispatch hot path must not allocate: events live inline in the
 // heap's slice (spare capacity is the free pool), coalesced holds touch
-// no queue at all, and parking reuses the goroutine's pooled sudog.
-// These tests pin that property so a future "small" change (an
+// no queue at all, and a park is a coroutine switch, which allocates
+// nothing. These tests pin that property so a future "small" change (an
 // interface box, a closure capture, a per-event pointer) fails loudly
 // rather than silently regressing every benchmark.
 
@@ -29,8 +32,7 @@ func TestDispatchPathZeroAlloc(t *testing.T) {
 // TestSlowPathZeroAllocSteadyState covers the full park → heap → resume
 // cycle: a timer callback inside every hold window forces the slow
 // path (the heap is never empty at the hold), yet after warm-up — heap
-// capacity grown, sudogs pooled — the steady state must be
-// allocation-free.
+// capacity grown — the steady state must be allocation-free.
 func TestSlowPathZeroAllocSteadyState(t *testing.T) {
 	k := NewKernel()
 	var avg float64
@@ -52,11 +54,12 @@ func TestSlowPathZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
-// TestCrossProcHandoffZeroAllocSteadyState covers baton handoff between
-// two goroutines: each measured round is two wakes and two direct
-// resumes. AllocsPerRun reads global malloc counters and the kernel is
-// strictly sequential, so the partner's allocations (there must be
-// none) are counted too.
+// TestCrossProcHandoffZeroAllocSteadyState covers the handoff between
+// two process coroutines: each measured round is two wakes, each a
+// yield to Run's trampoline and a resume of the other process.
+// AllocsPerRun reads global malloc counters and the kernel is strictly
+// sequential, so the partner's allocations (there must be none) are
+// counted too.
 func TestCrossProcHandoffZeroAllocSteadyState(t *testing.T) {
 	k := NewKernel()
 	sa := NewSemaphore(k, 0)
@@ -85,4 +88,36 @@ func TestCrossProcHandoffZeroAllocSteadyState(t *testing.T) {
 	if avg != 0 {
 		t.Fatalf("ping-pong round allocates %.2f/run, want 0", avg)
 	}
+}
+
+// TestSpawnChurnAllocs covers process churn: a child that starts, holds,
+// returns and is joined runs on a coroutine an earlier child returned,
+// so in steady state the cycle allocates only the Proc and the joiner
+// slot. The coroutines themselves are stopped when Run returns.
+func TestSpawnChurnAllocs(t *testing.T) {
+	base := runtime.NumGoroutine()
+	k := NewKernel()
+	retired := 0
+	child := func(c *Proc) { c.Hold(1); retired++ }
+	const warm, measured = 9, 90
+	var avg float64
+	k.Spawn("root", func(p *Proc) {
+		for i := 0; i < warm; i++ {
+			p.Join(k.Spawn("child", child))
+		}
+		// AllocsPerRun adds one unmeasured warm-up call: 100 children.
+		avg = testing.AllocsPerRun(measured, func() {
+			p.Join(k.Spawn("child", child))
+		})
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if retired != 100 {
+		t.Fatalf("%d children retired, want 100", retired)
+	}
+	if avg > 2 {
+		t.Fatalf("spawn → hold → join cycle allocates %.2f/run, want <= 2 (Proc and joiner slot)", avg)
+	}
+	waitGoroutines(t, base)
 }

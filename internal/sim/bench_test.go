@@ -20,10 +20,11 @@ func BenchmarkKernel_HoldLoop(b *testing.B) {
 	}
 }
 
-// BenchmarkKernel_PingPong measures the full park → heap → channel
+// BenchmarkKernel_PingPong measures the full park → heap → resume
 // round-trip: two processes alternating through semaphores, so every
-// round costs two wake events and two goroutine handoffs. This is the
-// path the coalescing fast path cannot elide.
+// round costs two wake events and two handoffs, each a yield to Run's
+// trampoline and a resume of the other coroutine. This is the path the
+// coalescing fast path cannot elide.
 func BenchmarkKernel_PingPong(b *testing.B) {
 	k := NewKernel()
 	sa := NewSemaphore(k, 0)
@@ -47,7 +48,8 @@ func BenchmarkKernel_PingPong(b *testing.B) {
 }
 
 // BenchmarkKernel_Spawn measures process creation: spawn, one hold,
-// join — one goroutine (and stack) per child.
+// join. Each child runs on the coroutine the previous child returned,
+// so no goroutine (or stack) is created per child.
 func BenchmarkKernel_Spawn(b *testing.B) {
 	k := NewKernel()
 	k.Spawn("root", func(p *Proc) {

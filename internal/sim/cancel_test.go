@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -29,7 +30,7 @@ func waitGoroutines(t *testing.T, base int) {
 }
 
 // TestDeadlockUnwindsParkedGoroutines is the leak bugfix's proof: an
-// error-terminated Run must strand no goroutine on <-p.resume.
+// error-terminated Run must strand no parked process's goroutine.
 func TestDeadlockUnwindsParkedGoroutines(t *testing.T) {
 	base := runtime.NumGoroutine()
 	k := NewKernel()
@@ -89,6 +90,150 @@ func TestEventLimitUnwindsParkedGoroutines(t *testing.T) {
 	var lim *ErrEventLimit
 	if err := k.Run(); !errors.As(err, &lim) {
 		t.Fatalf("Run = %v, want ErrEventLimit", err)
+	}
+	waitGoroutines(t, base)
+}
+
+// TestTeardownOrder pins the order in which an error-terminated Run
+// unwinds parked bodies, on Run's goroutine: in spawn order (not park
+// order), and the process that detected the error from inside its own
+// park last. Every unwinding defer sees Unwinding. s, spawned first,
+// detects the error; x, y and z park in reverse spawn order.
+func TestTeardownOrder(t *testing.T) {
+	cases := []struct {
+		name      string
+		maxEvents int64
+		s         func(k *Kernel, p *Proc)
+		sParked   bool // s detects the error from inside its own park
+		target    any  // errors.As target for Run's error
+	}{
+		{"deadlock", 0, func(k *Kernel, p *Proc) {
+			p.Hold(10)
+			(&WaitQueue{}).Wait(p)
+		}, true, new(*ErrDeadlock)},
+		// The panicking body is not parked: its own defer runs during
+		// its panic, before teardown.
+		{"panic", 0, func(k *Kernel, p *Proc) {
+			p.Hold(10)
+			panic("boom")
+		}, false, new(*ProcPanic)},
+		{"event-limit", 50, func(k *Kernel, p *Proc) {
+			p.Hold(10)
+			for {
+				p.Yield()
+			}
+		}, true, new(*ErrEventLimit)},
+		{"interrupt", 0, func(k *Kernel, p *Proc) {
+			p.Hold(10)
+			k.Interrupt("stop")
+			p.Hold(1)
+		}, true, new(*ErrInterrupted)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			k := NewKernel()
+			k.MaxEvents = tc.maxEvents
+			var order []string
+			record := func(p *Proc) {
+				if !p.Unwinding() {
+					t.Errorf("%s's defer ran without Unwinding", p.Name())
+				}
+				order = append(order, p.Name())
+			}
+			k.Spawn("s", func(p *Proc) {
+				if tc.sParked {
+					defer record(p)
+				}
+				tc.s(k, p)
+			})
+			for i, name := range []string{"x", "y", "z"} {
+				d := Time(3 - i)
+				k.Spawn(name, func(p *Proc) {
+					defer record(p)
+					p.Hold(d)
+					(&WaitQueue{}).Wait(p)
+				})
+			}
+			if err := k.Run(); !errors.As(err, tc.target) {
+				t.Fatalf("Run = %v, want %T", err, tc.target)
+			}
+			want := "x y z"
+			if tc.sParked {
+				want += " s"
+			}
+			if got := strings.Join(order, " "); got != want {
+				t.Fatalf("unwind order %q, want %q", got, want)
+			}
+			waitGoroutines(t, base)
+		})
+	}
+}
+
+// TestGoexitInBodyUnwindsAndPropagates: runtime.Goexit in a body (what
+// t.FailNow calls) is not a return. Run unwinds every other parked
+// process and the Goexit then ends Run's goroutine, so Run never
+// returns and no goroutine is left behind.
+func TestGoexitInBodyUnwindsAndPropagates(t *testing.T) {
+	base := runtime.NumGoroutine()
+	k := NewKernel()
+	unwound := false
+	k.Spawn("parked", func(p *Proc) {
+		defer func() { unwound = p.Unwinding() }()
+		(&WaitQueue{}).Wait(p)
+	})
+	k.Spawn("exiter", func(p *Proc) {
+		p.Hold(1)
+		runtime.Goexit()
+	})
+	returned := make(chan bool, 1)
+	go func() {
+		ok := false
+		defer func() { returned <- ok }()
+		k.Run()
+		ok = true
+	}()
+	if <-returned {
+		t.Fatal("Run returned after a body called runtime.Goexit")
+	}
+	if !unwound {
+		t.Fatal("the parked body's defer did not run as an unwind")
+	}
+	if err := k.Run(); !errors.Is(err, ErrStopped) {
+		t.Fatalf("re-Run after a Goexit = %v, want ErrStopped", err)
+	}
+	waitGoroutines(t, base)
+}
+
+// TestCallbackPanicUnwindsAndPropagates: a panicking Schedule callback
+// is a kernel bug, not a process panic. It propagates out of Run, but
+// only after every parked process has unwound, even when the callback
+// ran inside another process's park.
+func TestCallbackPanicUnwindsAndPropagates(t *testing.T) {
+	base := runtime.NumGoroutine()
+	k := NewKernel()
+	unwound := false
+	k.Spawn("parked", func(p *Proc) {
+		defer func() { unwound = p.Unwinding() }()
+		(&WaitQueue{}).Wait(p)
+	})
+	k.Spawn("holder", func(p *Proc) {
+		k.Schedule(5, func() { panic("callback boom") })
+		p.Hold(10) // dispatches the callback from inside this park
+	})
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		k.Run()
+	}()
+	if got != "callback boom" {
+		t.Fatalf("Run panicked with %v, want the callback's panic", got)
+	}
+	if !unwound {
+		t.Fatal("the parked body's defer did not run as an unwind")
+	}
+	if err := k.Run(); !errors.Is(err, ErrStopped) {
+		t.Fatalf("re-Run after a callback panic = %v, want ErrStopped", err)
 	}
 	waitGoroutines(t, base)
 }
@@ -404,7 +549,7 @@ func TestKillFastPathEquivalence(t *testing.T) {
 // TestInterruptStopsRunningKernel exercises the cross-goroutine abort:
 // a compute-bound simulation (pure Hold loop, the coalescing fast
 // path) must stop at the next event boundary after Interrupt, unwind
-// every parked goroutine, and report ErrInterrupted.
+// every parked process, and report ErrInterrupted.
 func TestInterruptStopsRunningKernel(t *testing.T) {
 	base := runtime.NumGoroutine()
 	k := NewKernel()

@@ -1,16 +1,26 @@
 // Package sim implements a deterministic discrete-event simulation kernel.
 //
-// Each simulated process (Spawn) runs arbitrary blocking Go code on a
-// goroutine of its own. The kernel enforces strictly sequential
-// execution: at any instant exactly one goroutine runs, with control
-// transferred by direct channel handoff. The dispatch loop is not
-// pinned to a kernel goroutine — it is a baton: the goroutine that
-// parks runs the loop itself and resumes the next runnable process
-// directly, so a park costs one goroutine switch, not two, and costs
-// none at all when the next runnable process is the parker itself.
-// Virtual time is an int64 tick counter; events are dispatched in
-// (time, sequence) order, so every run of the same program is
-// bit-for-bit reproducible regardless of host scheduling.
+// Each simulated process (Spawn) runs arbitrary blocking Go code as a
+// coroutine (iter.Pull) of Run's goroutine. The kernel enforces strictly
+// sequential execution: at any instant exactly one body runs, and
+// control moves by coroutine switches, never through the Go scheduler.
+// Run's goroutine is a trampoline: it resumes whichever process the
+// dispatch loop picked. A process that parks runs the dispatch loop
+// itself, returns in place when the next runnable process is itself,
+// and otherwise yields the picked process back to the trampoline. A body
+// that returns hands its coroutine to the kernel's idle list for the
+// next process to start on; Run stops the idle coroutines before it
+// returns, so no goroutine outlives Run. Virtual time is an int64 tick
+// counter; events are dispatched in (time, sequence) order, so every run
+// of the same program is bit-for-bit reproducible regardless of host
+// scheduling.
+//
+// A body that panics ends the run with a *ProcPanic. A runtime.Goexit
+// in a body (t.FailNow in a test, say) is not a return: Run first
+// unwinds every other parked process, as after any error, and then the
+// Goexit ends Run's goroutine too, so Run never returns. A panicking
+// Schedule callback likewise unwinds the parked processes and then
+// propagates out of Run.
 //
 // The kernel knows nothing about machines, energy or the STAMP model; it
 // provides only time, processes, wait queues and timer callbacks. Higher
@@ -64,34 +74,32 @@ type Kernel struct {
 	liveTail *Proc
 
 	live    int // spawned and not yet finished
-	done    chan struct{}
 	err     error
 	inCall  bool // a kernel-context callback is on the stack
 	nextID  int
 	running bool
 
-	// cur is the process whose goroutine currently holds the baton, or
-	// nil in kernel context (Run's seed dispatch, evCall callbacks,
-	// teardown). It exists so probe hooks can attribute wait-queue
-	// signals and spawns to the process that issued them.
+	// cur is the process whose body is running, or nil in kernel
+	// context (Run's own dispatch, evCall callbacks, teardown). It
+	// exists so probe hooks can attribute wait-queue signals and spawns
+	// to the process that issued them.
 	cur *Proc
+
+	// idle holds the coroutines of returned bodies, waiting for the
+	// next first activation (see Kernel.coroFor). Run stops them
+	// before it returns.
+	idle []*coro
 
 	// probe, when non-nil, observes synchronization structure (see
 	// Probe). Every hook site is gated on a nil check so the disabled
 	// case costs nothing.
 	probe Probe
 
-	// Error-path teardown state (see finish). stopped marks the kernel
-	// permanently dead after an error-terminated Run; poisoned is set
-	// while (and after) parked processes are being unwound; unwound is
-	// the rendezvous each unwinding goroutine signals on; doneSender,
-	// when non-nil, is the process whose own unwind must deliver the
-	// done signal (the process that detected the error from inside its
-	// park and still has its own stack to unwind).
-	stopped    bool
-	poisoned   bool
-	unwound    chan struct{}
-	doneSender *Proc
+	// Error-path teardown state (see teardown). stopped marks the
+	// kernel permanently dead after an error-terminated Run; poisoned
+	// is set while (and after) parked processes are being unwound.
+	stopped  bool
+	poisoned bool
 
 	// MaxEvents bounds the number of dispatched events; 0 means no
 	// bound. Exceeding it makes Run return ErrEventLimit. Coalesced
@@ -102,27 +110,18 @@ type Kernel struct {
 
 	// interrupt, when set, asks dispatch to end the run at the next
 	// event boundary (see Interrupt). It is the kernel's only state a
-	// goroutine outside the baton may touch, hence the atomic.
+	// goroutine outside the run may touch, hence the atomic.
 	interrupt atomic.Pointer[ErrInterrupted]
 
 	// DisableFastPath turns off the hold-coalescing fast path so every
-	// Hold takes the park → heap → channel slow path. The two modes are
+	// Hold takes the park → heap → resume slow path. The two modes are
 	// observationally equivalent; the flag exists so tests can assert
 	// exactly that (see fuzz_test.go).
 	DisableFastPath bool
 }
 
 // NewKernel returns an empty simulator positioned at time 0.
-func NewKernel() *Kernel {
-	return &Kernel{
-		// Buffered so the goroutine that ends the simulation can signal
-		// Run and exit without a rendezvous.
-		done: make(chan struct{}, 1),
-		// Unbuffered on purpose: teardown unwinds parked goroutines one
-		// at a time, and the rendezvous is the sequencing.
-		unwound: make(chan struct{}),
-	}
-}
+func NewKernel() *Kernel { return &Kernel{} }
 
 // Now returns the current virtual time.
 func (k *Kernel) Now() Time { return k.now }
@@ -198,12 +197,11 @@ func (k *Kernel) canCoalesce(d Time) bool {
 // from inside a running process.
 func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{
-		k:      k,
-		id:     k.nextID,
-		name:   name,
-		resume: make(chan struct{}),
-		state:  stateNew,
-		fn:     fn,
+		k:     k,
+		id:    k.nextID,
+		name:  name,
+		state: stateNew,
+		fn:    fn,
 	}
 	k.nextID++
 	k.alive(p)
@@ -257,7 +255,7 @@ func (e *ErrInterrupted) Error() string {
 // Interrupt asks a running kernel to stop, from any goroutine — the
 // one operation on a Kernel that is safe to call concurrently with
 // dispatch. The run ends at the next event boundary with the same full
-// teardown as any error (every parked process unwinds, no goroutine
+// teardown as any error (every parked process unwinds, no coroutine
 // outlives the run) and Run returns an *ErrInterrupted carrying reason.
 // The cut-off point depends on when the call lands relative to the
 // dispatch loop, so interrupted runs are not deterministic: callers
@@ -287,18 +285,24 @@ func (e *ProcPanic) Error() string {
 
 // Run dispatches events until no process remains live and the event
 // queue is empty, and returns nil; or returns the first error:
-// a process panic, a deadlock, the event limit, or ErrStopped if a
-// previous Run already failed.
+// a process panic, a deadlock, the event limit, an interrupt, or
+// ErrStopped if a previous Run already failed.
 //
-// An error return is a full teardown: before Run returns, every parked
-// process goroutine is poison-resumed, unwound through its deferred
-// functions, and retired, so no goroutine outlives an error-terminated
-// Run. The kernel is then permanently stopped (see ErrStopped).
+// Run's goroutine is a trampoline. It runs the dispatch loop to find
+// the first runnable process, then resumes the coroutine of whichever
+// process dispatch picked; that body runs until it parks or returns
+// and yields the next process to resume, or nil once the run has
+// ended. Every coroutine is created and resumed here, on Run's
+// goroutine, so each is switched under the thread-lock state it was
+// created with.
 //
-// Run's goroutine is not the dispatcher. It seeds the baton — the right
-// to run the dispatch loop — and then waits for whichever goroutine
-// ends the simulation to signal completion. The baton passes directly
-// from the goroutine that parks to the goroutine it wakes.
+// An error return is a full teardown (see teardown): before Run
+// returns, every parked process is poison-resumed, unwound through its
+// deferred functions, and retired. The kernel is then permanently
+// stopped (see ErrStopped). A runtime.Goexit or a panic that crosses
+// Run — a body's Goexit, a Schedule callback's panic — gets the same
+// teardown from Run's deferred cleanup before it propagates. Either
+// way Run stops the idle coroutines last, so no goroutine outlives it.
 func (k *Kernel) Run() error {
 	if k.running {
 		panic("sim: Kernel.Run is not reentrant")
@@ -307,73 +311,72 @@ func (k *Kernel) Run() error {
 		return ErrStopped
 	}
 	k.running = true
-	defer func() { k.running = false }()
-
 	k.err = nil
-	k.doneSender = nil
 	k.cur = nil
-	k.dispatch(nil)
-	<-k.done
+	ended := false
+	defer func() {
+		if !ended {
+			k.inCall = false
+			k.stopped = true
+			k.teardown(nil)
+		}
+		k.stopIdle()
+		k.running = false
+	}()
+
+	var last *Proc
+	for p := k.dispatch(); p != nil; {
+		last = p
+		c := p.co
+		if c == nil {
+			c = k.coroFor(p)
+		}
+		p, _ = c.resume()
+	}
+	if k.err != nil {
+		k.teardown(last)
+	}
+	ended = true
 	return k.err
 }
 
-// batonState is dispatch's verdict on where the baton went.
-type batonState uint8
-
-const (
-	// batonPassed: the baton went to another goroutine (or the
-	// simulation finished with the caller not parked); the caller must
-	// block on its resume channel or return.
-	batonPassed batonState = iota
-	// batonSelf: the next runnable process is the caller; it resumes in
-	// place with no channel handoff.
-	batonSelf
-	// batonDead: the simulation terminated with an error while the
-	// caller was parked; the caller must unwind instead of resuming.
-	batonDead
-)
-
-// dispatch runs the event loop while the calling goroutine holds the
-// scheduler baton. self is the process whose goroutine is calling (nil
-// from Run or from a finished process). It returns batonSelf when the
-// next runnable process is self — the caller resumes in place with no
-// channel handoff at all — batonDead when the simulation ended in an
-// error while self was parked (the caller must unwind), and
-// batonPassed after handing the baton to another goroutine or ending
-// the simulation normally.
+// dispatch runs the event loop until a process becomes runnable and
+// returns it, marked running and recorded as cur; or returns nil once
+// the run has ended, with the outcome in k.err (see finish). Run calls
+// it for the first process, a parking process for the next one (see
+// Proc.park) and a returning body for its successor (see Proc.run).
 //
-// The pop sequence and event handling are identical to a centralized
-// loop; only the goroutine executing them differs, so dispatch order —
-// and therefore every virtual-time result — is unchanged.
-func (k *Kernel) dispatch(self *Proc) batonState {
+// The pop sequence and event handling do not depend on who calls it,
+// so dispatch order — and therefore every virtual-time result — is
+// the same whichever body runs the loop.
+func (k *Kernel) dispatch() *Proc {
 	for {
 		if e := k.interrupt.Load(); e != nil {
 			e.At = k.now
-			k.finish(e, self)
-			return k.batonAfterFinish(self)
+			k.finish(e)
+			return nil
 		}
 		if k.events.Len() == 0 {
 			if k.live == 0 {
-				k.finish(nil, self)
+				k.finish(nil)
 			} else {
-				k.finish(&ErrDeadlock{At: k.now, Blocked: k.blockedNames()}, self)
+				k.finish(&ErrDeadlock{At: k.now, Blocked: k.blockedNames()})
 			}
-			return k.batonAfterFinish(self)
+			return nil
 		}
 		ev := k.events.pop()
 		k.dispatched++
 		if k.MaxEvents > 0 && k.dispatched > k.MaxEvents {
-			k.finish(&ErrEventLimit{Limit: k.MaxEvents}, self)
-			return k.batonAfterFinish(self)
+			k.finish(&ErrEventLimit{Limit: k.MaxEvents})
+			return nil
 		}
 		k.now = ev.at
 
 		switch ev.kind {
 		case evCall:
 			// inCall distinguishes a callback panic (a kernel-context
-			// bug that must crash, as an unrecovered panic did under
-			// the centralized loop) from a process-body panic (reported
-			// as ProcPanic); see Proc.run.
+			// bug that propagates out of Run) from a process-body panic
+			// (reported as ProcPanic); see Proc.run.
 			k.cur = nil
 			k.inCall = true
 			ev.fn()
@@ -382,7 +385,7 @@ func (k *Kernel) dispatch(self *Proc) batonState {
 			p := ev.proc
 			if p.killed {
 				// Killed before first activation: retire without ever
-				// creating a goroutine. The joiner wakes carry no
+				// binding a coroutine. The joiner wakes carry no
 				// process edge (kernel context), so clear cur.
 				k.cur = nil
 				p.state = stateDone
@@ -393,8 +396,7 @@ func (k *Kernel) dispatch(self *Proc) batonState {
 			}
 			p.state = stateRunning
 			k.cur = p
-			go p.run()
-			return batonPassed
+			return p
 		case evWake:
 			p := ev.proc
 			if p.state == stateDone {
@@ -405,69 +407,42 @@ func (k *Kernel) dispatch(self *Proc) batonState {
 			}
 			p.state = stateRunning
 			k.cur = p
-			if p == self {
-				return batonSelf
-			}
-			p.resume <- struct{}{}
-			return batonPassed
+			return p
 		}
 	}
 }
 
-// batonAfterFinish classifies the dispatch return after finish: a
-// caller that was parked when the error hit must unwind its own stack
-// (batonDead); otherwise — Run's seed dispatch, a finished process's
-// trailing dispatch, or a normal end — the baton simply stops.
-func (k *Kernel) batonAfterFinish(self *Proc) batonState {
-	if self != nil && k.poisoned {
-		return batonDead
-	}
-	return batonPassed
-}
-
-// finish records the simulation outcome and releases Run. Exactly one
-// goroutine holds the baton at any instant, and dispatch stops looping
-// after calling finish, so it runs at most once per Run.
-//
-// On an error outcome finish also tears the kernel down: every parked
-// process goroutine is poison-resumed and fully unwound (running its
-// deferred functions) before Run returns, so an error-terminated Run
-// strands nothing. self is the process whose goroutine detected the
-// error (nil when that was Run's seed dispatch or a finished process's
-// trailing dispatch). self cannot unwind itself from here — that
-// happens when its enclosing park observes batonDead — so when self is
-// still parked, the done signal is deferred to self's own unwind
-// (doneSender; see Proc.run).
-func (k *Kernel) finish(err error, self *Proc) {
+// finish records the outcome of the run; dispatch returns nil right
+// after, so it runs at most once per Run. An error stops the kernel for
+// good; Run tears it down once control is back on its goroutine.
+func (k *Kernel) finish(err error) {
 	k.err = err
 	if err != nil {
 		k.stopped = true
-		k.teardown(self)
-		if self != nil && self.state == stateWaiting {
-			k.doneSender = self
-			return
-		}
 	}
-	k.done <- struct{}{}
 }
 
-// teardown poison-resumes every parked process except self, in spawn
-// order, waiting for each goroutine to finish unwinding before
-// resuming the next — the one-goroutine-at-a-time invariant holds even
-// through error exits, so unwinding defers may safely touch kernel
-// state. Retirement edits the live list, so the waiting set is
-// snapshotted first.
-func (k *Kernel) teardown(self *Proc) {
+// teardown poison-unwinds every parked process, on Run's goroutine. It
+// resumes them one at a time in spawn order; each observes the poison
+// in park, unwinds through its deferred functions and retires before
+// its coroutine yields back, so one body runs at a time even mid-
+// teardown and unwinding defers may touch kernel state. last, the
+// process that detected the error from inside its own park, unwinds
+// after all the others. Retirement edits the live list, so the parked
+// set is snapshotted first.
+func (k *Kernel) teardown(last *Proc) {
 	k.poisoned = true
 	var parked []*Proc
 	for p := k.liveHead; p != nil; p = p.nextLive {
-		if p != self && p.state == stateWaiting {
+		if p != last && p.state == stateWaiting {
 			parked = append(parked, p)
 		}
 	}
+	if last != nil && last.state == stateWaiting {
+		parked = append(parked, last)
+	}
 	for _, p := range parked {
-		p.resume <- struct{}{}
-		<-k.unwound
+		p.co.resume()
 	}
 }
 

@@ -1,9 +1,12 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
 // errUnwind is the sentinel panicked through a process body to unwind
-// its goroutine when the process is killed or the kernel tears down
+// its stack when the process is killed or the kernel tears down
 // after a fatal error. Deferred functions run as usual; the run wrapper
 // recovers the sentinel and retires the process. Recover-all code in
 // process bodies must re-panic values it does not recognize or it will
@@ -35,16 +38,16 @@ func (s procState) String() string {
 }
 
 // Proc is a simulated process. All its methods must be called only from
-// the goroutine running the process body (the kernel guarantees only one
-// such goroutine is active at a time), except ID, Name and Done which
-// are safe anywhere the kernel is quiescent.
+// the process body (the kernel guarantees only one body runs at a
+// time), except ID, Name and Done which are safe anywhere the kernel is
+// quiescent.
 type Proc struct {
-	k      *Kernel
-	id     int
-	name   string
-	resume chan struct{}
-	state  procState
-	fn     func(p *Proc)
+	k     *Kernel
+	id    int
+	name  string
+	co    *coro // the coroutine running the body; nil before and after
+	state procState
+	fn    func(p *Proc)
 
 	joiners WaitQueue // processes blocked in Join on this one
 	killed  bool      // Kill was called; unwind at the next chance
@@ -77,7 +80,7 @@ func (p *Proc) Killed() bool { return p.killed }
 func (p *Proc) Unwinding() bool { return p.killed || p.k.poisoned }
 
 // Kill terminates the process without ending the simulation: its
-// goroutine unwinds (deferred functions run), processes joined on it
+// body unwinds (deferred functions run), processes joined on it
 // are woken, and dispatch continues. Killing an already-done or
 // already-killed process is a no-op. Kill must be called from
 // simulation context — a process body or a kernel callback — and is
@@ -85,7 +88,7 @@ func (p *Proc) Unwinding() bool { return p.killed || p.k.poisoned }
 //
 // A process killed while parked is woken at the current time and
 // unwinds instead of resuming; one killed before its first activation
-// is retired without its goroutine ever starting; a process may kill
+// is retired without its body ever starting; a process may kill
 // itself, which unwinds immediately (Kill does not return).
 func (p *Proc) Kill() {
 	if p.state == stateDone || p.killed {
@@ -109,53 +112,105 @@ func (p *Proc) Kill() {
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.k.now }
 
-// run is the goroutine body wrapper: it executes fn, then — still
-// holding the baton — retires the process and dispatches onward. It is
-// also where every unwind converges: a kill or kernel teardown panics
-// the errUnwind sentinel through the body (running its defers), and
-// the recover here decides whether to keep dispatching (kill), signal
-// the teardown rendezvous (poison), or report a user panic.
-func (p *Proc) run() {
+// coro is a reusable process coroutine: an iter.Pull coroutine whose
+// sequence runs one process body after another. Run's trampoline
+// resumes it; the body yields back the next process to resume (nil
+// once the run has ended) when it parks or returns. Between bodies it
+// waits on the kernel's idle list.
+type coro struct {
+	resume func() (*Proc, bool)
+	stop   func()
+	yield  func(*Proc) bool
+	p      *Proc // the process whose body runs next or is running
+}
+
+// loop is the coroutine's sequence: run the assigned body, retire the
+// coroutine to the idle list, and yield the body's successor, until
+// Run stops it.
+func (c *coro) loop(yield func(*Proc) bool) {
+	c.yield = yield
+	for {
+		p := c.p
+		next := p.run()
+		p.co, c.p = nil, nil
+		p.k.idle = append(p.k.idle, c)
+		if !yield(next) {
+			return
+		}
+	}
+}
+
+// coroFor binds a coroutine to p's first activation, reusing an idle
+// one when there is one, so steady-state spawning creates no goroutine.
+// Only Run's trampoline calls it.
+func (k *Kernel) coroFor(p *Proc) *coro {
+	var c *coro
+	if n := len(k.idle); n > 0 {
+		c = k.idle[n-1]
+		k.idle[n-1] = nil
+		k.idle = k.idle[:n-1]
+	} else {
+		c = new(coro)
+		c.resume, c.stop = iter.Pull(c.loop)
+	}
+	c.p = p
+	p.co = c
+	return c
+}
+
+// stopIdle ends every idle coroutine; their goroutines exit.
+func (k *Kernel) stopIdle() {
+	for _, c := range k.idle {
+		c.stop()
+	}
+	k.idle = nil
+}
+
+// run executes the body and then retires the process, returning the
+// next process to resume. It is also where every unwind converges: a
+// kill or kernel teardown panics the errUnwind sentinel through the
+// body (running its defers), and the recover here decides whether to
+// keep dispatching (return or kill), retire quietly (teardown or
+// runtime.Goexit), or report a user panic.
+func (p *Proc) run() (next *Proc) {
 	k := p.k
+	returned := false
 	defer func() {
 		r := recover()
-		if r != nil && k.inCall {
-			// The panic came from a kernel-context callback that
-			// happened to be dispatched on this goroutine, not from
-			// p's body. Crash, as the centralized loop would have.
-			panic(r)
-		}
 		p.state = stateDone
 		k.live--
 		k.unlive(p)
-		if k.poisoned {
-			// Kernel teardown: retire quietly and hand control back to
-			// the teardown loop — or release Run directly when this
-			// process is the one that detected the error (its unwind
-			// was deferred past finish; see Kernel.finish).
-			if k.doneSender == p {
-				k.done <- struct{}{}
-			} else {
-				k.unwound <- struct{}{}
+		switch {
+		case r != nil && k.inCall:
+			// The panic came from a kernel-context callback dispatched
+			// inside p's park, not from p's body: it propagates out of
+			// Run (see Kernel.Run).
+			panic(r)
+		case k.poisoned:
+			// Kernel teardown: retire quietly; a user defer's panic
+			// during the unwind is swallowed, as the run already
+			// reports its error.
+		case r == nil && !returned:
+			// runtime.Goexit: it propagates out of Run, whose deferred
+			// cleanup tears the kernel down.
+		case r != nil && r != errUnwind:
+			k.finish(&ProcPanic{Proc: p.name, Value: r})
+		default:
+			// Normal return, or a Kill unwind: wake joiners and
+			// dispatch onward. The probe sees the exit before the
+			// joiner wakes so that both the signal edges fired by the
+			// broadcast (cur is still p here) and later already-done
+			// Joins observe p's final position.
+			if k.probe != nil {
+				k.probe.ProcExit(p)
 			}
-			return
+			p.joiners.broadcastLocked(k)
+			next = k.dispatch()
 		}
-		if r != nil && r != errUnwind {
-			k.finish(&ProcPanic{Proc: p.name, Value: r}, p)
-			return
-		}
-		// Normal return, or a Kill unwind: wake joiners and pass the
-		// baton on; this goroutine exits. The probe sees the exit
-		// before the joiner wakes so that both the signal edges fired
-		// by the broadcast (cur is still p here) and later
-		// already-done Joins observe p's final position.
-		if k.probe != nil {
-			k.probe.ProcExit(p)
-		}
-		p.joiners.broadcastLocked(k)
-		k.dispatch(nil)
 	}()
 	p.fn(p)
+	returned = true
+	return nil
 }
 
 // Hold advances the process's local time by d ticks: it schedules a wake
@@ -164,7 +219,7 @@ func (p *Proc) run() {
 //
 // Coalescing fast path: when no other event is scheduled at or before
 // now+d, the wake this Hold would push is guaranteed to be the next
-// dispatch, so the park → heap → channel round-trip is skipped and the
+// dispatch, so the park → heap → resume round-trip is skipped and the
 // clock advanced in place. Dispatch order is unchanged — the skipped
 // wake had no competitor in the window, and a same-time competitor at
 // exactly now+d forces the slow path (FIFO order says the fresh wake
@@ -195,27 +250,24 @@ func (p *Proc) Hold(d Time) {
 // only when doing so is provably order- and observation-preserving.
 func (p *Proc) CanCoalesce(d Time) bool { return p.k.canCoalesce(d) }
 
-// park gives up the baton: the parking goroutine runs the dispatch loop
-// itself and hands control directly to the next runnable process. If
-// the loop finds that the next runnable process is p (every intervening
-// event was a timer callback), park returns without touching a channel;
-// otherwise it blocks until some later baton holder dispatches p's
-// wake and resumes it. A resume that arrives because p was killed, or
-// because the kernel is tearing down after an error, unwinds the
-// goroutine instead of returning.
+// park blocks p until its next wake is dispatched. It runs the
+// dispatch loop itself: when the next runnable process is p (every
+// intervening event was a timer callback), park returns in place with
+// no coroutine switch; otherwise it yields the picked process — or nil
+// when the run has ended — to Run's trampoline, and returns when the
+// trampoline resumes p. A resume that comes because p was killed, or
+// because the kernel is tearing down after an error, unwinds the body
+// instead of returning.
 func (p *Proc) park() {
-	if p.killed || p.k.poisoned {
+	k := p.k
+	if p.killed || k.poisoned {
 		panic(errUnwind)
 	}
 	p.state = stateWaiting
-	switch p.k.dispatch(p) {
-	case batonSelf:
-	case batonDead:
-		panic(errUnwind)
-	default:
-		<-p.resume
+	if next := k.dispatch(); next != p {
+		p.co.yield(next)
 	}
-	if p.killed || p.k.poisoned {
+	if p.killed || k.poisoned {
 		panic(errUnwind)
 	}
 }
