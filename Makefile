@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test bench bench-smoke check fmt vet lint race ckpt-fuzz flake-hunt e2e examples
+.PHONY: all build test bench bench-smoke check fmt vet lint race golden-cpus ckpt-fuzz flake-hunt e2e examples
 
 all: build
 
@@ -41,9 +41,9 @@ lint: vet
 # package that runs kernels, which guards the coroutine switches between
 # Run's goroutine and the process bodies and the teardown that unwinds
 # them on Run's goroutine; Systems running side by side in one process
-# (the parallel experiment harness, the *UnderShards suites); the
-# observer sinks read while a run streams; stampserve; and the lint
-# engine's parallel type-checks.
+# (each experiment's cell fan-out, the parallel experiment harness, the
+# *UnderShards suites); the observer sinks read while a run streams;
+# stampserve; and the lint engine's parallel type-checks.
 race:
 	$(GO) test -race ./internal/sim/... ./internal/core/... ./internal/experiments/... ./internal/obs/... ./internal/msgpass/... ./internal/fault/... ./internal/racedet/... ./internal/ckpt/... ./internal/serve/... ./internal/lint/... ./internal/stm/... ./internal/apps/... ./internal/adapt/... ./stamp/...
 
@@ -52,6 +52,13 @@ race:
 # cache. Uses bats when installed, plain bash otherwise; needs curl+jq.
 e2e:
 	bash scripts/e2e/run.sh
+
+# Every experiment golden at GOMAXPROCS 4. An experiment fans its
+# independent Systems out over GOMAXPROCS goroutines, so this pins a
+# fan-out wider than a 2-CPU host's; it must reproduce every golden
+# byte for byte.
+golden-cpus:
+	$(GO) test -cpu 4 -run 'TestGoldenOutputs$$' ./internal/experiments
 
 # Kill/restore equivalence fuzz: crash a checkpointed run at many event
 # budgets, restore, and require the final virtual time, energy and
@@ -80,7 +87,8 @@ examples:
 # The PR gate: everything must build, lint (go vet + stamplint)
 # and be gofmt-clean, the simulator, core, experiment harness, observability,
 # race-detector, checkpoint, serve and lint packages must pass under the
-# Go race detector, the checkpoint kill/restore fuzz must hold bit-for-bit,
-# every benchmark must at least run and every example must run cleanly.
-check: build vet lint fmt race ckpt-fuzz bench-smoke examples
+# Go race detector, every experiment golden must hold at four Ps,
+# the checkpoint kill/restore fuzz must hold bit-for-bit, every benchmark
+# must at least run and every example must run cleanly.
+check: build vet lint fmt race golden-cpus ckpt-fuzz bench-smoke examples
 	$(GO) test ./...

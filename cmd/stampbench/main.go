@@ -11,9 +11,13 @@
 //	stampbench -parallel 8      # run the suite on 8 workers (0 = NumCPU)
 //	stampbench -metrics-out DIR # also write DIR/<id>.prom per experiment
 //
-// Parallelism changes only wall-clock time: every experiment simulates
-// on its own kernel, so virtual-time results are identical at any
-// worker count (internal/experiments' golden test enforces this).
+// -parallel spreads whole experiments over workers. Independently of
+// it, each experiment that builds several Systems (apsp, recovery,
+// jacobi, bank, airline, fabric, table1, faults, managers) runs those
+// cells on GOMAXPROCS goroutines. Parallelism changes only wall-clock
+// time: every System simulates on its own kernel, so virtual-time
+// results are identical at any worker count and any GOMAXPROCS
+// (internal/experiments' golden tests enforce this).
 package main
 
 import (
@@ -59,18 +63,15 @@ func main() {
 	}
 
 	var results []experiments.Result
-	switch {
-	case *exp != "":
+	if *exp != "" {
 		r, err := experiments.Run(*exp)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
 		results = append(results, r)
-	case *parallel != 1:
+	} else {
 		results = experiments.RunAllParallel(*parallel)
-	default:
-		results = experiments.RunAll()
 	}
 
 	failed := 0

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
 
 	"repro/internal/apps/bank"
 	"repro/internal/core"
@@ -156,14 +157,20 @@ func runManagers() Result {
 		thr  float64
 		ab   float64
 	}
-	var series []obs
-	for _, mgr := range stm.Managers() {
+	mgrs := stm.Managers()
+	results := make([]bank.RunResult, len(mgrs))
+	sweep(runtime.GOMAXPROCS(0), len(mgrs), func(i int) {
 		wl := workload.NewBank(32, 96, 1000, 0.8, 41)
-		sys := core.NewSystem(machine.Niagara(), core.WithContentionManager(mgr))
+		sys := core.NewSystem(machine.Niagara(), core.WithContentionManager(mgrs[i]))
 		res, err := bank.Run(sys, wl, 16, nil)
 		if err != nil {
-			panic(fmt.Sprintf("managers/%s: %v", mgr.Name(), err))
+			panic(fmt.Sprintf("managers/%s: %v", mgrs[i].Name(), err))
 		}
+		results[i] = res
+	})
+	var series []obs
+	for i, mgr := range mgrs {
+		res := results[i]
 		t.row(mgr.Name(), res.Report().T(), res.Succeeded,
 			fmt.Sprintf("%.3f", res.TM.AbortRate()),
 			fmt.Sprintf("%.3f", res.Throughput()))

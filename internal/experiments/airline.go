@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
 
 	"repro/internal/apps/airline"
 	"repro/internal/core"
@@ -18,52 +19,49 @@ func runAirline() Result {
 	t.row("seats/leg", "policy", "success", "partial", "failed", "legs committed", "success rate")
 	var checks []Check
 
-	type obs struct {
-		seats   int64
-		legsP   int64 // partial policy
-		legsS   int64 // strict policy
-		succP   int
-		succS   int
-		partial int
+	type cell struct {
+		seats int64
+		pol   airline.Policy
 	}
-	var series []obs
+	var cells []cell
 	for _, seats := range []int64{1, 2, 4, 8, 32} {
-		wl := workload.NewAirline(6, seats, 120, 31)
-		var o obs
-		o.seats = seats
 		for _, pol := range []airline.Policy{airline.Partial, airline.Strict} {
-			sys := core.NewSystem(machine.Niagara())
-			res, err := airline.Run(sys, wl, 8, pol)
-			if err != nil {
-				panic(err)
-			}
-			t.row(seats, pol,
-				res.Outcomes[airline.Success], res.Outcomes[airline.PartialSuccess],
-				res.Outcomes[airline.Failed], res.LegsCommitted,
-				fmt.Sprintf("%.3f", res.SuccessRate()))
-			if pol == airline.Partial {
-				o.legsP = res.LegsCommitted
-				o.succP = res.Outcomes[airline.Success]
-				o.partial = res.Outcomes[airline.PartialSuccess]
-			} else {
-				o.legsS = res.LegsCommitted
-				o.succS = res.Outcomes[airline.Success]
-			}
+			cells = append(cells, cell{seats, pol})
 		}
-		series = append(series, o)
+	}
+	results := make([]airline.RunResult, len(cells))
+	sweep(runtime.GOMAXPROCS(0), len(cells), func(i int) {
+		wl := workload.NewAirline(6, cells[i].seats, 120, 31)
+		sys := core.NewSystem(machine.Niagara())
+		res, err := airline.Run(sys, wl, 8, cells[i].pol)
+		if err != nil {
+			panic(err)
+		}
+		results[i] = res
+	})
+
+	for i, c := range cells {
+		res := results[i]
+		t.row(c.seats, c.pol,
+			res.Outcomes[airline.Success], res.Outcomes[airline.PartialSuccess],
+			res.Outcomes[airline.Failed], res.LegsCommitted,
+			fmt.Sprintf("%.3f", res.SuccessRate()))
 	}
 
 	// Shape: under scarcity (few seats) the partial policy books more
-	// legs than strict; with abundant seats the two coincide.
-	scarce, abundant := series[0], series[len(series)-1]
+	// legs than strict; with abundant seats the two coincide. The cells
+	// run partial then strict per seat count, fewest seats first.
+	scarceP, scarceS := results[0], results[1]
+	abundantP, abundantS := results[len(results)-2], results[len(results)-1]
 	checks = append(checks,
 		check("scarce seats: partial books more legs than strict",
-			scarce.legsP > scarce.legsS, "partial=%d strict=%d", scarce.legsP, scarce.legsS),
-		check("scarce seats: partial successes appear", scarce.partial > 0,
-			"partials=%d", scarce.partial),
+			scarceP.LegsCommitted > scarceS.LegsCommitted,
+			"partial=%d strict=%d", scarceP.LegsCommitted, scarceS.LegsCommitted),
+		check("scarce seats: partial successes appear", scarceP.Outcomes[airline.PartialSuccess] > 0,
+			"partials=%d", scarceP.Outcomes[airline.PartialSuccess]),
 		check("abundant seats: both policies complete everything",
-			abundant.succP == 120 && abundant.succS == 120,
-			"partial=%d strict=%d", abundant.succP, abundant.succS),
+			abundantP.Outcomes[airline.Success] == 120 && abundantS.Outcomes[airline.Success] == 120,
+			"partial=%d strict=%d", abundantP.Outcomes[airline.Success], abundantS.Outcomes[airline.Success]),
 		check("seat conservation enforced on every cell (in-run)", true, ""))
 
 	return Result{ID: "airline", Title: Title("airline"), Table: t.String(), Checks: checks}

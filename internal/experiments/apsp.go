@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
 
 	"repro/internal/apps/apsp"
 	"repro/internal/core"
@@ -40,32 +41,52 @@ func runAPSP() Result {
 	t.row("V", "skew", "mode", "epochs", "total rounds", "T", "E", "correct")
 	var checks []Check
 
+	// The V × skew × mode grid, then the heavily skewed run the helping
+	// check reads; every cell simulates on its own System.
+	type cell struct {
+		v    int
+		skew float64
+		mode apsp.Mode
+	}
+	var cells []cell
 	for _, v := range []int{8, 16, 24} {
 		for _, skew := range []float64{1, 4} {
-			var asyncT, syncT int64
 			for _, mode := range []apsp.Mode{apsp.Async, apsp.BulkSync} {
-				res := apspRun(v, mode, skew)
-				rep := res.Report()
-				t.row(v, skew, mode, res.Epochs, res.TotalRounds(), rep.T(),
-					fmt.Sprintf("%.0f", rep.E()), "yes")
-				if mode == apsp.Async {
-					asyncT = int64(rep.T())
-				} else {
-					syncT = int64(rep.T())
-				}
+				cells = append(cells, cell{v, skew, mode})
 			}
-			if skew > 1 {
-				checks = append(checks, check(
-					fmt.Sprintf("V=%d skewed: async converges faster than bulksync", v),
-					asyncT < syncT, "async=%d sync=%d", asyncT, syncT))
-			}
+		}
+	}
+	grid := len(cells)
+	cells = append(cells, cell{16, 6, apsp.Async})
+	results := make([]apsp.Result, len(cells))
+	sweep(runtime.GOMAXPROCS(0), len(cells), func(i int) {
+		results[i] = apspRun(cells[i].v, cells[i].mode, cells[i].skew)
+	})
+
+	var asyncT int64
+	var modelGroup *core.Group
+	for i, c := range cells[:grid] {
+		res := results[i]
+		rep := res.Report()
+		t.row(c.v, c.skew, c.mode, res.Epochs, res.TotalRounds(), rep.T(),
+			fmt.Sprintf("%.0f", rep.E()), "yes")
+		switch {
+		case c.mode == apsp.Async:
+			asyncT = int64(rep.T())
+		case c.skew > 1:
+			syncT := int64(rep.T())
+			checks = append(checks, check(
+				fmt.Sprintf("V=%d skewed: async converges faster than bulksync", c.v),
+				asyncT < syncT, "async=%d sync=%d", asyncT, syncT))
+		case c.v == 16:
+			modelGroup = res.Group
 		}
 	}
 
 	// Fast processes perform more rounds than the handicapped one —
 	// the paper's "faster processors can compute more rounds ... and
 	// possibly help the slow processors".
-	res := apspRun(16, apsp.Async, 6)
+	res := results[grid]
 	helped := res.RoundsPerProc[1] > res.RoundsPerProc[0]
 	checks = append(checks, check("fast processes iterate more than the slow one",
 		helped, "fast=%d slow=%d", res.RoundsPerProc[1], res.RoundsPerProc[0]))
@@ -73,11 +94,11 @@ func runAPSP() Result {
 	checks = append(checks, check("every cell matches Floyd–Warshall (enforced in-run)", true, ""))
 
 	// Analytical round prediction (the §4 shared-memory analogue of the
-	// Jacobi table): measured mean S-round time and energy vs the cost
-	// model with the measured κ (queue wait) substituted in, using the
-	// unpipelined g_eff = ℓ_e + g_sh_e mapping documented in
-	// EXPERIMENTS.md.
-	model, measT, _, _ := apsp.Model(apspRun(16, apsp.BulkSync, 1).Group)
+	// Jacobi table): the grid's V=16 unskewed bulksync cell's measured
+	// mean S-round time and energy vs the cost model with the measured κ
+	// (queue wait) substituted in, using the unpipelined
+	// g_eff = ℓ_e + g_sh_e mapping documented in EXPERIMENTS.md.
+	model, measT, _, _ := apsp.Model(modelGroup)
 	predT := model.TSRoundEffective()
 	t.row("")
 	t.row("V=16 round model", "measured mean T", "predicted T (κ=measured)", "rel err")

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
 
 	"repro/internal/apps/bank"
 	"repro/internal/core"
@@ -14,16 +15,40 @@ func init() {
 	register("bank", "§4 banking: nested-transaction transfers — throughput and abort rate vs contention", runBank)
 }
 
-func bankRun(accounts int, hot float64, workers int, mgr stm.ContentionManager) (bank.RunResult, error) {
-	wl := workload.NewBank(accounts, 96, 1000, hot, int64(accounts)*7+int64(hot*100))
-	sys := core.NewSystem(machine.Niagara(), core.WithContentionManager(mgr))
-	return bank.Run(sys, wl, workers, nil)
-}
-
 func runBank() Result {
 	t := newTable()
 	t.row("accounts", "hot", "workers", "succeeded", "declined", "abort rate", "throughput", "T")
 	var checks []Check
+
+	// The accounts × hot-spot grid on 16 workers, then the worker-scaling
+	// runs on a uniform 512-account bank.
+	type cell struct {
+		accounts, transfers int
+		hot                 float64
+		seed                int64
+		workers             int
+	}
+	var cells []cell
+	for _, accounts := range []int{16, 64, 256, 1024} {
+		for _, hot := range []float64{0, 0.5, 0.9} {
+			cells = append(cells, cell{accounts, 96, hot, int64(accounts)*7 + int64(hot*100), 16})
+		}
+	}
+	grid := len(cells)
+	for _, workers := range []int{1, 4, 16} {
+		cells = append(cells, cell{512, 128, 0, 3, workers})
+	}
+	results := make([]bank.RunResult, len(cells))
+	sweep(runtime.GOMAXPROCS(0), len(cells), func(i int) {
+		c := cells[i]
+		wl := workload.NewBank(c.accounts, c.transfers, 1000, c.hot, c.seed)
+		sys := core.NewSystem(machine.Niagara(), core.WithContentionManager(stm.Timestamp{}))
+		res, err := bank.Run(sys, wl, c.workers, nil)
+		if err != nil {
+			panic(err)
+		}
+		results[i] = res
+	})
 
 	type obs struct {
 		accounts int
@@ -32,18 +57,13 @@ func runBank() Result {
 		thr      float64
 	}
 	var series []obs
-	for _, accounts := range []int{16, 64, 256, 1024} {
-		for _, hot := range []float64{0, 0.5, 0.9} {
-			res, err := bankRun(accounts, hot, 16, stm.Timestamp{})
-			if err != nil {
-				panic(err)
-			}
-			rep := res.Report()
-			t.row(accounts, hot, 16, res.Succeeded, res.Declined,
-				fmt.Sprintf("%.3f", res.TM.AbortRate()),
-				fmt.Sprintf("%.3f", res.Throughput()), rep.T())
-			series = append(series, obs{accounts, hot, res.TM.AbortRate(), res.Throughput()})
-		}
+	for i, c := range cells[:grid] {
+		res := results[i]
+		rep := res.Report()
+		t.row(c.accounts, c.hot, c.workers, res.Succeeded, res.Declined,
+			fmt.Sprintf("%.3f", res.TM.AbortRate()),
+			fmt.Sprintf("%.3f", res.Throughput()), rep.T())
+		series = append(series, obs{c.accounts, c.hot, res.TM.AbortRate(), res.Throughput()})
 	}
 
 	// Shape checks the paper's transactional story implies: hotter
@@ -67,16 +87,11 @@ func runBank() Result {
 
 	// Scaling: more workers reduce completion time on a low-contention
 	// workload.
-	var tOf = func(workers int) float64 {
-		wl := workload.NewBank(512, 128, 1000, 0, 3)
-		sys := core.NewSystem(machine.Niagara(), core.WithContentionManager(stm.Timestamp{}))
-		res, err := bank.Run(sys, wl, workers, nil)
-		if err != nil {
-			panic(err)
-		}
-		return float64(res.Report().T())
+	var ts []float64
+	for _, res := range results[grid:] {
+		ts = append(ts, float64(res.Report().T()))
 	}
-	t1, t4, t16 := tOf(1), tOf(4), tOf(16)
+	t1, t4, t16 := ts[0], ts[1], ts[2]
 	t.row("")
 	t.row("workers", "T (512 accounts, uniform)")
 	t.row(1, fmt.Sprintf("%.0f", t1))

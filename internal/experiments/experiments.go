@@ -93,16 +93,6 @@ func Run(id string) (Result, error) {
 	return r(), nil
 }
 
-// RunAll executes every experiment in id order.
-func RunAll() []Result {
-	var out []Result
-	for _, id := range IDs() {
-		r, _ := Run(id)
-		out = append(out, r)
-	}
-	return out
-}
-
 // table is a tiny tabwriter helper.
 type table struct {
 	buf bytes.Buffer

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
 
 	"repro/internal/apps/jacobi"
 	"repro/internal/core"
@@ -18,6 +19,25 @@ func runFabric() Result {
 	t.row("n", "fabric", "T", "E", "P", "reads", "writes", "sends", "recvs")
 	var checks []Check
 
+	// One cell per size and fabric, message passing first.
+	sizes := []int{8, 16, 32}
+	const iters = 4
+	results := make([]jacobi.Result, 2*len(sizes))
+	sweep(runtime.GOMAXPROCS(0), len(results), func(i int) {
+		n := sizes[i/2]
+		ls := workload.NewLinearSystem(n, int64(300+n))
+		sys := core.NewSystem(machine.Niagara())
+		var err error
+		if i%2 == 0 {
+			results[i], err = jacobi.Run(sys, jacobi.Config{System: ls, Iters: iters})
+		} else {
+			results[i], err = jacobi.RunShared(sys, jacobi.SharedConfig{System: ls, Iters: iters})
+		}
+		if err != nil {
+			panic(err)
+		}
+	})
+
 	type obs struct {
 		n            int
 		mpT, shmT    float64
@@ -25,21 +45,8 @@ func runFabric() Result {
 		agreeExactly bool
 	}
 	var series []obs
-	for _, n := range []int{8, 16, 32} {
-		ls := workload.NewLinearSystem(n, int64(300+n))
-		const iters = 4
-
-		sysA := core.NewSystem(machine.Niagara())
-		mp, err := jacobi.Run(sysA, jacobi.Config{System: ls, Iters: iters})
-		if err != nil {
-			panic(err)
-		}
-		sysB := core.NewSystem(machine.Niagara())
-		shm, err := jacobi.RunShared(sysB, jacobi.SharedConfig{System: ls, Iters: iters})
-		if err != nil {
-			panic(err)
-		}
-
+	for k, n := range sizes {
+		mp, shm := results[2*k], results[2*k+1]
 		same := true
 		for i := range mp.X {
 			if d := mp.X[i] - shm.X[i]; d > 1e-12 || d < -1e-12 {

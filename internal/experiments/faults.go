@@ -3,6 +3,7 @@ package experiments
 import (
 	"errors"
 	"fmt"
+	"runtime"
 
 	"repro/internal/apps/jacobi"
 	"repro/internal/core"
@@ -48,9 +49,6 @@ func runFaults() Result {
 		iters    = 6
 		maxTries = 12
 	)
-	ls := workload.NewLinearSystem(n, 808)
-	ref, _ := jacobi.Sequential(ls, iters, 0)
-
 	type cell struct {
 		label   string
 		fc      fault.Config
@@ -66,16 +64,19 @@ func runFaults() Result {
 		{"mixed", fault.Config{Seed: 42, DropRate: 0.10, DupRate: 0.10, DelayRate: 0.20, DelayTicks: 25}, 120},
 	}
 
-	t.row("faults", "timeout", "T", "transfers", "drops", "dups", "delays", "retransmit", "ackwaits", "faultticks", "exact")
 	type rowStats struct {
 		cell
-		T           sim.Time
-		retransmits int64
-		faultTicks  sim.Time
-		exact       bool
+		T          sim.Time
+		inj        *fault.Injector
+		agg        fault.ReliableStats
+		faultTicks sim.Time
+		exact      bool
 	}
-	var rows []rowStats
-	for _, c := range cells {
+	rows := make([]rowStats, len(cells))
+	sweep(runtime.GOMAXPROCS(0), len(cells), func(ci int) {
+		c := cells[ci]
+		ls := workload.NewLinearSystem(n, 808)
+		ref, _ := jacobi.Sequential(ls, iters, 0)
 		cfg := machine.Niagara()
 		pf := obs.NewProfiler()
 		sys := core.NewSystem(cfg, core.WithObs(&obs.Observer{Prof: pf}))
@@ -154,10 +155,12 @@ func runFaults() Result {
 				exact = false
 			}
 		}
-		T := g.Report().T()
-		rows = append(rows, rowStats{cell: c, T: T, retransmits: agg.Retransmits, faultTicks: faultTicks, exact: exact})
-		t.row(c.label, c.timeout, T, inj.Transfers(), inj.Drops(), inj.Dups(), inj.Delays(),
-			agg.Retransmits, agg.Timeouts, faultTicks, exact)
+		rows[ci] = rowStats{cell: c, T: g.Report().T(), inj: inj, agg: agg, faultTicks: faultTicks, exact: exact}
+	})
+	t.row("faults", "timeout", "T", "transfers", "drops", "dups", "delays", "retransmit", "ackwaits", "faultticks", "exact")
+	for _, r := range rows {
+		t.row(r.label, r.timeout, r.T, r.inj.Transfers(), r.inj.Drops(), r.inj.Dups(), r.inj.Delays(),
+			r.agg.Retransmits, r.agg.Timeouts, r.faultTicks, r.exact)
 	}
 	cleanT := map[sim.Time]sim.Time{} // timeout → clean-link T baseline
 	for _, r := range rows {
@@ -173,13 +176,13 @@ func runFaults() Result {
 		case !lossy && r.timeout >= 120:
 			// A well-sized timeout on a clean link: the protocol must be
 			// invisible — no retransmits, no fault ticks.
-			generousClean = generousClean && r.retransmits == 0 && r.faultTicks == 0
+			generousClean = generousClean && r.agg.Retransmits == 0 && r.faultTicks == 0
 		case !lossy:
 			// A timeout below the loaded ack round-trip provokes spurious
 			// retransmits; they must cost only time, never answers.
-			tightClean = tightClean || (r.retransmits > 0 && r.exact)
+			tightClean = tightClean || (r.agg.Retransmits > 0 && r.exact)
 		case r.fc.DropRate > 0:
-			dropsCost = dropsCost && r.retransmits > 0 && r.faultTicks > 0 && r.T > cleanT[r.timeout]
+			dropsCost = dropsCost && r.agg.Retransmits > 0 && r.faultTicks > 0 && r.T > cleanT[r.timeout]
 		}
 	}
 	checks = append(checks, check("every faulty run computes the exact sequential iterate", allExact, ""))
@@ -196,22 +199,21 @@ func runFaults() Result {
 	cfg := machine.Niagara()
 	jm := cost.Jacobi{N: 64, X: 2, Y: 3, WInt: 1}
 	env := jm.PaperEnvelope() // cap 3 threads/core, as in §4
-	lsb := workload.NewLinearSystem(nb, 909)
 	job := sched.Job{Name: "jacobi", N: nb, PowerPerProc: jm.PowerBound(), Dist: core.IntraProc}
 	d0 := sched.Allocate(cfg, job, env)
 	if !d0.Feasible {
 		panic("faults: initial placement infeasible: " + d0.Reason)
 	}
 
-	// phase1 runs the synch_comm Jacobi body on d0's placement with the
-	// given core failures armed, snapshotting the iterate after every
-	// completed round; it returns the run error, the snapshot, the
+	// phase1 runs the synch_comm Jacobi body on lsb with d0's placement
+	// and the given core failures armed, snapshotting the iterate after
+	// every completed round; it returns the run error, the snapshot, the
 	// per-member completed-round counts, the plan and the end time.
 	type upd struct {
 		from int
 		val  float64
 	}
-	phase1 := func(fails []fault.CoreFailure) (error, []float64, []int, *fault.Plan, sim.Time) {
+	phase1 := func(lsb workload.LinearSystem, fails []fault.CoreFailure) (error, []float64, []int, *fault.Plan, sim.Time) {
 		sys := core.NewSystem(cfg)
 		snap := make([]float64, nb)
 		rounds := make([]int, nb)
@@ -254,7 +256,7 @@ func runFaults() Result {
 	}
 
 	// A clean probe fixes the failure time: halfway through the run.
-	err0, _, _, _, cleanEnd := phase1(nil)
+	err0, _, _, _, cleanEnd := phase1(workload.NewLinearSystem(nb, 909), nil)
 	if err0 != nil {
 		panic(err0)
 	}
@@ -277,16 +279,23 @@ func runFaults() Result {
 		{"cores 1-6", []int{1, 2, 3, 4, 5, 6}},
 	}
 
-	t.row("")
-	t.row("failure", "at", "killed", "rounds", "T1", "replace", "resid(snap)", "resid(final)")
-	degradedOK := true
-	var infeasibleSeen bool
-	for _, sc := range scenarios {
+	// Each scenario renders its row and checks into an outcome, appended
+	// below in scenario order.
+	type outcome struct {
+		row         []any
+		checks      []Check
+		ok, refused bool
+	}
+	outcomes := make([]outcome, len(scenarios))
+	sweep(runtime.GOMAXPROCS(0), len(scenarios), func(si int) {
+		sc, o := scenarios[si], &outcomes[si]
+		o.ok = true
+		lsb := workload.NewLinearSystem(nb, 909)
 		var fails []fault.CoreFailure
 		for _, c := range sc.cores {
 			fails = append(fails, fault.CoreFailure{At: failAt, Core: c})
 		}
-		err, snap, rounds, pl, end := phase1(fails)
+		err, snap, rounds, pl, end := phase1(lsb, fails)
 
 		rmin, rmax := rounds[0], rounds[0]
 		for _, r := range rounds[1:] {
@@ -299,15 +308,13 @@ func runFaults() Result {
 		}
 
 		if len(sc.cores) == 0 {
-			if err != nil {
-				degradedOK = false
-			}
+			o.ok = err == nil
 			resid := lsb.Residual(snap)
-			t.row(sc.name, "-", 0, fmt.Sprintf("%d..%d", rmin, rmax), end, "not needed",
-				fmt.Sprintf("%.3g", resid), fmt.Sprintf("%.3g", resid))
-			checks = append(checks, check("clean run completes all rounds",
+			o.row = []any{sc.name, "-", 0, fmt.Sprintf("%d..%d", rmin, rmax), end, "not needed",
+				fmt.Sprintf("%.3g", resid), fmt.Sprintf("%.3g", resid)}
+			o.checks = append(o.checks, check("clean run completes all rounds",
 				err == nil && rmin == iters1, "rounds %d..%d", rmin, rmax))
-			continue
+			return
 		}
 
 		// Kill set must be exactly the members bound to the failed cores.
@@ -329,21 +336,21 @@ func runFaults() Result {
 			signalOK = err == nil
 		}
 		if !signalOK {
-			degradedOK = false
-			t.row(sc.name, failAt, len(pl.Killed()), fmt.Sprintf("%d..%d", rmin, rmax), end,
-				fmt.Sprintf("unexpected error %v", err), "-", "-")
-			continue
+			o.ok = false
+			o.row = []any{sc.name, failAt, len(pl.Killed()), fmt.Sprintf("%d..%d", rmin, rmax), end,
+				fmt.Sprintf("unexpected error %v", err), "-", "-"}
+			return
 		}
 
 		resSnap := lsb.Residual(snap)
 		d2 := sched.AllocateExcluding(cfg, job, env, pl.Down())
 		if !d2.Feasible {
-			infeasibleSeen = true
-			t.row(sc.name, failAt, len(pl.Killed()), fmt.Sprintf("%d..%d", rmin, rmax), end,
-				"infeasible: "+d2.Reason, fmt.Sprintf("%.3g", resSnap), "-")
-			checks = append(checks, check(fmt.Sprintf("%s: survivors cannot hold the job under the envelope", sc.name),
+			o.refused = true
+			o.row = []any{sc.name, failAt, len(pl.Killed()), fmt.Sprintf("%d..%d", rmin, rmax), end,
+				"infeasible: " + d2.Reason, fmt.Sprintf("%.3g", resSnap), "-"}
+			o.checks = append(o.checks, check(fmt.Sprintf("%s: survivors cannot hold the job under the envelope", sc.name),
 				!d2.Feasible && killedExact, "%s", d2.Reason))
-			continue
+			return
 		}
 
 		// Placement must avoid every down core and respect the envelope.
@@ -363,14 +370,23 @@ func runFaults() Result {
 			panic(err2)
 		}
 		resFinal := lsb.Residual(ph2.X)
-		t.row(sc.name, failAt, len(pl.Killed()), fmt.Sprintf("%d..%d", rmin, rmax), end,
+		o.row = []any{sc.name, failAt, len(pl.Killed()), fmt.Sprintf("%d..%d", rmin, rmax), end,
 			fmt.Sprintf("%d core(s), ≤%d/core", d2.CoresUsed, d2.ThreadsPerCoreCap),
-			fmt.Sprintf("%.3g", resSnap), fmt.Sprintf("%.3g", resFinal))
+			fmt.Sprintf("%.3g", resSnap), fmt.Sprintf("%.3g", resFinal)}
 
-		ok := killedExact && avoids && verifyErr == nil && resFinal < resSnap && rmin < iters1
-		degradedOK = degradedOK && ok
-		checks = append(checks, check(fmt.Sprintf("%s: disruption signal, exact kill set, compliant re-place, warm start converges", sc.name),
-			ok, "killed=%d down=%v resid %.3g→%.3g", len(pl.Killed()), pl.DownList(), resSnap, resFinal))
+		o.ok = killedExact && avoids && verifyErr == nil && resFinal < resSnap && rmin < iters1
+		o.checks = append(o.checks, check(fmt.Sprintf("%s: disruption signal, exact kill set, compliant re-place, warm start converges", sc.name),
+			o.ok, "killed=%d down=%v resid %.3g→%.3g", len(pl.Killed()), pl.DownList(), resSnap, resFinal))
+	})
+
+	t.row("")
+	t.row("failure", "at", "killed", "rounds", "T1", "replace", "resid(snap)", "resid(final)")
+	degradedOK, infeasibleSeen := true, false
+	for _, o := range outcomes {
+		t.row(o.row...)
+		checks = append(checks, o.checks...)
+		degradedOK = degradedOK && o.ok
+		infeasibleSeen = infeasibleSeen || o.refused
 	}
 	checks = append(checks, check("losing most of the machine is reported, not papered over", infeasibleSeen, ""))
 	checks = append(checks, check("graceful degradation holds across the sweep", degradedOK, ""))

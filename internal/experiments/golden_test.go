@@ -5,7 +5,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"testing"
-	"time"
 )
 
 // goldenPath returns the checked-in reference output for an experiment.
@@ -113,14 +112,7 @@ func TestGoldenOutputsGoroutineMode(t *testing.T) {
 			if got := res.String(); got != string(want) {
 				t.Fatalf("%s diverged from golden\n--- got ---\n%s\n--- want ---\n%s", id, got, want)
 			}
-			// Exited goroutines take a moment to leave the count.
-			deadline := time.Now().Add(2 * time.Second)
-			for runtime.NumGoroutine() > base {
-				if time.Now().After(deadline) {
-					t.Fatalf("%s left %d goroutines running, want <= %d", id, runtime.NumGoroutine(), base)
-				}
-				time.Sleep(time.Millisecond)
-			}
+			waitGoroutines(t, base)
 		})
 	}
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
 
 	"repro/internal/apps/jacobi"
 	"repro/internal/core"
@@ -19,14 +20,37 @@ func runJacobi() Result {
 	t.row("n", "T_meas", "T_pred", "relT", "E_meas", "E_pred", "relE", "T_unit", "2n bound", "P_unit", "(x+y)w bound")
 	var checks []Check
 
-	worstRelT, worstRelE := 0.0, 0.0
+	// The four table sizes, then the correctness anchor: 20 iterations
+	// on one seed, compared against the sequential baseline below.
+	type cell struct {
+		n     int
+		seed  int64
+		iters int
+	}
+	var cells []cell
 	for _, n := range []int{8, 16, 32, 64} {
-		ls := workload.NewLinearSystem(n, int64(100+n))
+		cells = append(cells, cell{n, int64(100 + n), 4})
+	}
+	anchor := len(cells)
+	cells = append(cells, cell{16, 999, 20})
+	type run struct {
+		sys *core.System
+		res jacobi.Result
+	}
+	runs := make([]run, len(cells))
+	sweep(runtime.GOMAXPROCS(0), len(cells), func(i int) {
+		c := cells[i]
 		sys := core.NewSystem(machine.Niagara())
-		res, err := jacobi.Run(sys, jacobi.Config{System: ls, Iters: 4})
+		res, err := jacobi.Run(sys, jacobi.Config{System: workload.NewLinearSystem(c.n, c.seed), Iters: c.iters})
 		if err != nil {
 			panic(err)
 		}
+		runs[i] = run{sys, res}
+	})
+
+	worstRelT, worstRelE := 0.0, 0.0
+	for i, c := range cells[:anchor] {
+		n, sys, res := c.n, runs[i].sys, runs[i].res
 		model := jacobi.Model(sys, res.Group, n)
 
 		mt, me := jacobi.MeasuredRound(res.Group, 2) // steady-state round
@@ -63,13 +87,9 @@ func runJacobi() Result {
 		check("round-energy prediction within 30%", worstRelE < 0.3, "worst rel err %.2f", worstRelE))
 
 	// Correctness anchor: distributed equals sequential on one seed.
-	ls := workload.NewLinearSystem(16, 999)
-	sys := core.NewSystem(machine.Niagara())
-	res, err := jacobi.Run(sys, jacobi.Config{System: ls, Iters: 20})
-	if err != nil {
-		panic(err)
-	}
-	seq, _ := jacobi.Sequential(ls, 20, 0)
+	c := cells[anchor]
+	res := runs[anchor].res
+	seq, _ := jacobi.Sequential(workload.NewLinearSystem(c.n, c.seed), c.iters, 0)
 	same := true
 	for i := range seq {
 		if d := res.X[i] - seq[i]; d > 1e-9 || d < -1e-9 {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"os"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -13,12 +14,17 @@ import (
 // virtual-time profiler on every System. The profiler is a pure
 // observer, so the output must still match the golden, and every
 // process that was charged any time must have its profile sealed
-// (nonzero Total), including the ones unwound by the failing run.
+// (nonzero Total), including the ones unwound by the failing run. The
+// experiment builds its Systems on parallel cells, so the option
+// collects the profilers under a lock.
 func TestRecoveryWithProfiler(t *testing.T) {
+	var mu sync.Mutex
 	var profs []*obs.Profiler
 	remove := core.AddGlobalOption(func(sys *core.System) {
 		pf := obs.NewProfiler()
+		mu.Lock()
 		profs = append(profs, pf)
+		mu.Unlock()
 		sys.Obs = &obs.Observer{Prof: pf}
 	})
 	defer remove()

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
 
 	"repro/internal/core"
 	"repro/internal/machine"
@@ -72,13 +73,16 @@ func runTable1() Result {
 		tm    *stm.STM
 		count int64
 	}
-	var cells []cell
-	for _, attrs := range core.Table1(core.IntraProc) {
-		rep, tm, count := table1Cell(attrs, procs, rounds)
-		cells = append(cells, cell{attrs, rep, tm, count})
-		t.row(attrs.Exec, attrs.Comm,
-			rep.T(), fmt.Sprintf("%.0f", rep.E()), fmt.Sprintf("%.3f", rep.Power()),
-			tm.Commits(), tm.Aborts(), count)
+	combos := core.Table1(core.IntraProc)
+	cells := make([]cell, len(combos))
+	sweep(runtime.GOMAXPROCS(0), len(combos), func(i int) {
+		rep, tm, count := table1Cell(combos[i], procs, rounds)
+		cells[i] = cell{combos[i], rep, tm, count}
+	})
+	for _, c := range cells {
+		t.row(c.attrs.Exec, c.attrs.Comm,
+			c.rep.T(), fmt.Sprintf("%.0f", c.rep.E()), fmt.Sprintf("%.3f", c.rep.Power()),
+			c.tm.Commits(), c.tm.Aborts(), c.count)
 	}
 
 	for _, c := range cells {

@@ -32,7 +32,7 @@ func TestExperimentSuiteRaceCleanAndBitIdentical(t *testing.T) {
 	})
 	defer remove()
 
-	for _, res := range experiments.RunAll() {
+	for _, res := range experiments.RunAllParallel(1) {
 		want, err := os.ReadFile(filepath.Join("..", "experiments", "testdata", "golden", res.ID+".golden"))
 		if err != nil {
 			t.Fatalf("golden for %s: %v", res.ID, err)
