@@ -2,7 +2,7 @@ package obs
 
 import "repro/internal/sim"
 
-// Event kinds published on a tracer's stream channel. Span events
+// Event kinds a streaming tracer hands to its sink. Span events
 // mirror the tracer's span lifecycle; the rest are first-class progress
 // signals the instrumented layers emit (core barriers, the checkpoint
 // controller, the fault planner, the profiler).
@@ -45,32 +45,33 @@ type Event struct {
 	Gen    int64    `json:"gen,omitempty"`
 }
 
-// StreamTo attaches (or, with nil, detaches) a bounded event channel.
-// Every subsequent span open/close/instant and every Emit is published
-// on it. Sends block when the channel is full: the consumer must drain
-// promptly (the serve layer runs a dedicated drainer goroutine).
-// Blocking is host-side backpressure only — it cannot perturb virtual
-// time, so a slow consumer changes nothing about the simulation's
-// results. No-op on a nil tracer.
-func (t *Tracer) StreamTo(ch chan<- Event) {
+// StreamTo attaches (or, with nil, detaches) a sink. Every subsequent
+// span open/close/instant and every Emit calls it with the event, on
+// the goroutine running the simulation, before the instrumented
+// operation continues. The sink costs no virtual time, so nothing it
+// does on the host can perturb the simulation's results, but the run
+// waits for it: it should take at most a short lock (stampserve's sink
+// appends the encoded event to the run's log). No-op on a nil tracer.
+func (t *Tracer) StreamTo(sink func(Event)) {
 	if t == nil {
 		return
 	}
-	t.stream = ch
+	t.sink = sink
 }
 
-// Streaming reports whether an event channel is attached. Instrumented
-// layers guard their event construction (which may format strings)
-// behind this, so a non-streaming tracer pays nothing extra.
-func (t *Tracer) Streaming() bool { return t != nil && t.stream != nil }
+// Streaming reports whether a sink is attached. Instrumented layers
+// guard their event construction (which may format strings) behind
+// this, so a non-streaming tracer pays nothing extra.
+func (t *Tracer) Streaming() bool { return t != nil && t.sink != nil }
 
-// Emit publishes ev on the attached stream, assigning its sequence
-// number. No-op when no stream is attached (or on a nil tracer).
+// Emit assigns ev the tracer's next sequence number and hands it to the
+// attached sink on the calling goroutine. No-op when no sink is
+// attached (or on a nil tracer).
 func (t *Tracer) Emit(ev Event) {
-	if t == nil || t.stream == nil {
+	if t == nil || t.sink == nil {
 		return
 	}
 	t.seq++
 	ev.Seq = t.seq
-	t.stream <- ev
+	t.sink(ev)
 }

@@ -1,8 +1,9 @@
 // Concurrent-exposition tests: the registry must serve Prometheus
-// scrapes while a simulation is mutating it and a streaming
-// drainer is folding tracer events into counters — the exact topology
-// cmd/stampserve runs. These tests earn their keep under `go test
-// -race` (the Makefile race target includes this package).
+// scrapes while a simulation is mutating it and a stream sink is
+// folding tracer events into counters on the simulation's goroutine,
+// while another goroutine scrapes — the topology cmd/stampserve runs.
+// These tests earn their keep under `go test -race` (the Makefile race
+// target includes this package).
 package obs_test
 
 import (
@@ -19,26 +20,20 @@ import (
 )
 
 // TestConcurrentScrapeDuringRun scrapes the registry in a tight loop
-// from a separate goroutine while a jacobi run streams events through
-// a drainer that updates the same registry — a mid-run /metrics
-// scrape must always see a consistent snapshot.
+// from a separate goroutine while a jacobi run streams events into a
+// sink that updates the same registry — a mid-run /metrics scrape must
+// always see a consistent snapshot.
 func TestConcurrentScrapeDuringRun(t *testing.T) {
 	ob := &obs.Observer{Reg: obs.NewRegistry(), Trace: obs.NewTracer(), Prof: obs.NewProfiler()}
 
-	// Drainer: fold streamed events into registry counters, as the
-	// serve layer does for its aggregate metrics.
-	stream := make(chan obs.Event, 64)
-	drained := make(chan struct{})
+	// Sink: fold streamed events into registry counters, as the serve
+	// layer does for its aggregate metrics.
 	var events int64
-	go func() {
-		defer close(drained)
-		for ev := range stream {
-			ob.Reg.Counter("test_events_total", "Streamed events by kind.",
-				obs.L("kind", ev.Kind)).Inc()
-			atomic.AddInt64(&events, 1)
-		}
-	}()
-	ob.Trace.StreamTo(stream)
+	ob.Trace.StreamTo(func(ev obs.Event) {
+		ob.Reg.Counter("test_events_total", "Streamed events by kind.",
+			obs.L("kind", ev.Kind)).Inc()
+		events++
+	})
 
 	// Scraper: continuous Prometheus exposition until stopped.
 	stop := make(chan struct{})
@@ -76,8 +71,6 @@ func TestConcurrentScrapeDuringRun(t *testing.T) {
 	sys.CollectMetrics()
 	obs.RecordDrift(ob.Registry(), "jacobi", "T_sround", 1, 1)
 
-	close(stream)
-	<-drained
 	close(stop)
 	wg.Wait()
 	select {
@@ -86,7 +79,7 @@ func TestConcurrentScrapeDuringRun(t *testing.T) {
 	default:
 	}
 
-	if atomic.LoadInt64(&events) == 0 {
+	if events == 0 {
 		t.Fatal("no events streamed")
 	}
 	if atomic.LoadInt64(&scrapes) == 0 {
@@ -96,7 +89,7 @@ func TestConcurrentScrapeDuringRun(t *testing.T) {
 		t.Fatalf("jacobi ran %d iters, want 8", res.Iters)
 	}
 
-	// The final exposition must carry both the drained event counters
+	// The final exposition must carry both the streamed event counters
 	// and the collected run metrics.
 	var buf bytes.Buffer
 	if err := ob.Reg.WritePrometheus(&buf); err != nil {
@@ -115,23 +108,13 @@ func TestConcurrentScrapeDuringRun(t *testing.T) {
 func TestStreamEventsDeterministic(t *testing.T) {
 	collect := func() []obs.Event {
 		ob := &obs.Observer{Trace: obs.NewTracer(), Prof: obs.NewProfiler()}
-		stream := make(chan obs.Event, 64)
 		var got []obs.Event
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			for ev := range stream {
-				got = append(got, ev)
-			}
-		}()
-		ob.Trace.StreamTo(stream)
+		ob.Trace.StreamTo(func(ev obs.Event) { got = append(got, ev) })
 		sys := core.NewSystem(machine.Niagara(), core.WithObs(ob))
 		ls := workload.NewLinearSystem(8, 3)
 		if _, err := jacobi.Run(sys, jacobi.Config{System: ls, Iters: 4, Tol: 1e-9}); err != nil {
 			t.Fatal(err)
 		}
-		close(stream)
-		<-done
 		return got
 	}
 	a, b := collect(), collect()

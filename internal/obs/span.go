@@ -44,16 +44,16 @@ func (s Span) T() sim.Time { return s.End - s.Start }
 // tracer (Begin returns 0, End/Instant are no-ops). Not safe for host
 // concurrency — the simulation kernel is sequential by construction.
 //
-// A tracer can additionally stream: StreamTo attaches a bounded event
-// channel, and every span open/close/instant (plus the barrier,
-// checkpoint, fault and profiler events the instrumented layers emit)
-// is published on it as it happens, in deterministic order. With no
-// channel attached nothing is published and the disabled (nil) tracer
-// path stays allocation-free.
+// A tracer can additionally stream: StreamTo attaches a sink function,
+// and every span open/close/instant (plus the barrier, checkpoint,
+// fault and profiler events the instrumented layers emit) is handed to
+// it as it happens, in deterministic order, on the simulation's own
+// goroutine. With no sink attached nothing is published and the
+// disabled (nil) tracer path stays allocation-free.
 type Tracer struct {
-	spans  []Span
-	stream chan<- Event
-	seq    int64
+	spans []Span
+	sink  func(Event)
+	seq   int64
 }
 
 // NewTracer returns an empty enabled span tracer.
@@ -73,7 +73,7 @@ func (t *Tracer) Begin(at sim.Time, proc, cat, name string, parent SpanID) SpanI
 		ID: id, Parent: parent, Proc: proc, Cat: cat, Name: name,
 		Kind: SpanComplete, Start: at, End: at, open: true,
 	})
-	if t.stream != nil {
+	if t.sink != nil {
 		t.Emit(Event{At: at, Kind: EvSpanOpen, Proc: proc, Cat: cat,
 			Name: name, Span: id, Parent: parent})
 	}
@@ -91,7 +91,7 @@ func (t *Tracer) End(id SpanID, at sim.Time) {
 	}
 	s.End = at
 	s.open = false
-	if t.stream != nil {
+	if t.sink != nil {
 		t.Emit(Event{At: at, Kind: EvSpanClose, Proc: s.Proc, Cat: s.Cat,
 			Name: s.Name, Span: id, Parent: s.Parent})
 	}
@@ -107,7 +107,7 @@ func (t *Tracer) Instant(at sim.Time, proc, cat, name, detail string, parent Spa
 		ID: id, Parent: parent, Proc: proc, Cat: cat, Name: name,
 		Detail: detail, Kind: SpanInstant, Start: at, End: at,
 	})
-	if t.stream != nil {
+	if t.sink != nil {
 		t.Emit(Event{At: at, Kind: EvInstant, Proc: proc, Cat: cat,
 			Name: name, Detail: detail, Span: id, Parent: parent})
 	}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"sync"
 	"time"
 
 	"repro/internal/apps/airline"
@@ -49,6 +48,25 @@ type EventTotals struct {
 	FaultFirings       int   `json:"fault_firings"`
 }
 
+// count folds one logged event into the totals. Only the simulation's
+// own kinds count, not the server's run lifecycle events, so the
+// totals are a pure function of the scenario.
+func (t *EventTotals) count(ev *obs.Event) {
+	switch ev.Kind {
+	case evRun:
+		return
+	case obs.EvSpanOpen:
+		t.Spans++
+	case obs.EvBarrier:
+		t.BarrierGenerations = max(t.BarrierGenerations, ev.Gen)
+	case obs.EvCkpt:
+		t.CkptCommits++
+	case obs.EvFault:
+		t.FaultFirings++
+	}
+	t.Total++
+}
+
 // CheckRow is one experiment check rendered for the result JSON.
 type CheckRow struct {
 	Name string `json:"name"`
@@ -89,10 +107,11 @@ type outcome struct {
 	runReg     *obs.Registry
 }
 
-// execute runs a normalized spec to completion, forwarding every
-// simulation event to emit as it happens. It never returns a nil
-// outcome: kernel errors (fault-induced deadlocks) and panics become
-// a "failed" Result, which is itself deterministic and cacheable.
+// execute runs a normalized spec to completion, handing every
+// simulation event to emit on the simulation's goroutine as it
+// happens. It never returns a nil outcome: kernel errors
+// (fault-induced deadlocks) and panics become a "failed" Result, which
+// is itself deterministic and cacheable.
 func execute(spec Spec, emit func(obs.Event)) *outcome {
 	res := Result{Spec: spec, Hash: spec.Hash(), Status: "done"}
 	var runReg *obs.Registry
@@ -147,24 +166,7 @@ func runApp(spec Spec, res *Result, emit func(obs.Event)) *obs.Registry {
 		return nil
 	}
 	ob := &obs.Observer{Reg: obs.NewRegistry(), Trace: obs.NewTracer(), Prof: obs.NewProfiler()}
-
-	// The sim goroutines publish on a bounded channel; a dedicated
-	// drainer forwards to the server. Host-side backpressure blocks
-	// virtual time but cannot perturb it.
-	stream := make(chan obs.Event, 256)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for ev := range stream {
-			emit(ev)
-		}
-	}()
-	ob.Trace.StreamTo(stream)
-	defer func() {
-		close(stream)
-		wg.Wait()
-	}()
+	ob.Trace.StreamTo(emit)
 
 	opts := []core.Option{core.WithObs(ob)}
 	if spec.Manager != "" { // only the STM apps name one; Normalize has checked it

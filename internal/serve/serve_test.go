@@ -4,16 +4,42 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/obs"
 )
+
+// newHeldServer starts a one-worker server with the given queue
+// capacity whose worker, once it has logged a run's "started" event,
+// parks in its logf callback until release is called. Cleanup releases
+// it before closing both servers.
+func newHeldServer(t *testing.T, queueCap int) (*Server, *httptest.Server, func()) {
+	t.Helper()
+	hold := make(chan struct{})
+	var once sync.Once
+	release := func() { once.Do(func() { close(hold) }) }
+	s := newServer(1, queueCap, func(format string, args ...any) {
+		if strings.Contains(format, "started") {
+			<-hold
+		}
+	})
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() {
+		release()
+		ts.Close()
+		s.Close()
+	})
+	return s, ts, release
+}
 
 func newTestServer(t *testing.T, workers int) (*Server, *httptest.Server) {
 	t.Helper()
@@ -463,9 +489,8 @@ func TestRunNotFound(t *testing.T) {
 
 // TestNegativeFromCursor is the regression test for the ?from= panic:
 // a negative cursor must be rejected with 400 at the HTTP layer, and
-// eventsSince itself must clamp negative positions instead of slicing
-// p.events[from:] out of range (which panicked the handler goroutine
-// on a live run).
+// since itself must clamp negative positions instead of slicing the log
+// out of range (which panicked the handler goroutine on a live run).
 func TestNegativeFromCursor(t *testing.T) {
 	s, ts := newTestServer(t, 1)
 	sub := postSpec(t, ts.URL, `{"app":"jacobi","n":6,"iters":2}`)
@@ -485,19 +510,15 @@ func TestNegativeFromCursor(t *testing.T) {
 
 	waitDone(t, ts.URL, id)
 
-	// The defensive clamp: eventsSince(-1) must behave as from=0, not
-	// panic.
+	// The defensive clamp: since(-1) must behave as from=0, not panic.
 	run := s.get(id)
 	if run == nil {
 		t.Fatal("run disappeared")
 	}
-	evs, _, done := run.eventsSince(-1)
-	if !done {
-		t.Fatal("finished run reported not done")
-	}
-	all, _, _ := run.eventsSince(0)
-	if len(evs) != len(all) || len(evs) == 0 {
-		t.Fatalf("eventsSince(-1) returned %d events, want all %d", len(evs), len(all))
+	b, lines, _ := run.since(-1)
+	all, allLines, _ := run.since(0)
+	if !bytes.Equal(b, all) || len(lines) != len(allLines) || len(lines) == 0 {
+		t.Fatalf("since(-1) returned %d lines, want all %d", len(lines), len(allLines))
 	}
 
 	// Other malformed cursors stay rejected too.
@@ -608,25 +629,7 @@ func TestSubmitInputLimits(t *testing.T) {
 // rejection: 429 with a Retry-After hint, while a closing server still
 // answers 503.
 func TestSubmitQueueFull429(t *testing.T) {
-	block := make(chan struct{})
-	released := false
-	s := newServer(1, 0, func(format string, args ...any) {
-		if strings.Contains(format, "started") {
-			<-block
-		}
-	})
-	ts := httptest.NewServer(s.Handler())
-	release := func() {
-		if !released {
-			released = true
-			close(block)
-		}
-	}
-	t.Cleanup(func() {
-		ts.Close()
-		release()
-		s.Close()
-	})
+	s, ts, release := newHeldServer(t, 0)
 
 	// First submission hands off to the (sole) worker, which parks in
 	// logf; the unbuffered queue is now full for everyone else.
@@ -646,6 +649,19 @@ func TestSubmitQueueFull429(t *testing.T) {
 		t.Error("429 carries no Retry-After header")
 	}
 
+	// The rejected run leaves no trace: the run list holds the accepted
+	// run alone, and only it counts as submitted.
+	var list []map[string]any
+	if err := json.Unmarshal(getBody(t, ts.URL+"/runs"), &list); err != nil {
+		t.Fatal(err)
+	}
+	if len(list) != 1 || list[0]["id"] != "r1" {
+		t.Errorf("GET /runs after a 429 lists %v, want the accepted r1 alone", list)
+	}
+	if m := getBody(t, ts.URL+"/metrics"); !bytes.Contains(m, []byte("\nstampserve_runs_submitted_total 1\n")) {
+		t.Errorf("/metrics after a 429 does not count one submission:\n%s", m)
+	}
+
 	// Shutdown keeps its own status code.
 	release()
 	s.Close()
@@ -658,5 +674,58 @@ func TestSubmitQueueFull429(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("post-shutdown submit: status %d, want 503", resp.StatusCode)
+	}
+}
+
+// TestSubmitCloseRace submits from several goroutines while Close runs.
+// Every Submit must return a run or one of the two rejections, never
+// panic on the closed queue, and every accepted run must finish: Close
+// drains the queue.
+func TestSubmitCloseRace(t *testing.T) {
+	const submitters = 8
+	for i := 0; i < 300; i++ {
+		s := newServer(1, 4, nil)
+		var seed atomic.Int64
+		var mu sync.Mutex
+		var accepted []*Run
+		var wg sync.WaitGroup
+		errs := make(chan error, submitters) // each submitter sends at most once
+		for g := 0; g < submitters; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer func() {
+					if r := recover(); r != nil {
+						errs <- fmt.Errorf("Submit panicked: %v", r)
+					}
+				}()
+				for {
+					run, _, err := s.Submit(Spec{App: "jacobi", N: 2, Iters: 1, Seed: seed.Add(1)})
+					switch {
+					case errors.Is(err, ErrShuttingDown):
+						return
+					case errors.Is(err, ErrQueueFull):
+					case err != nil:
+						errs <- err
+						return
+					default:
+						mu.Lock()
+						accepted = append(accepted, run)
+						mu.Unlock()
+					}
+				}
+			}()
+		}
+		s.Close()
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatal(err)
+		}
+		for _, run := range accepted {
+			if state, _, _ := run.snapshot(); state != "done" {
+				t.Fatalf("accepted run %s ended %q after Close", run.ID, state)
+			}
+		}
 	}
 }

@@ -1,10 +1,12 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -49,6 +51,11 @@ type Server struct {
 // to the primary run of the same scenario hash and owns no execution:
 // its events, state and result are the primary's, which is what makes
 // resubmissions byte-identical.
+//
+// The event log holds each event once, as the NDJSON line the stream
+// serves: log is the lines back to back, and lines locates each one.
+// Appending is the only mutation, so a reader may keep reading bytes
+// it sliced under the lock after releasing it.
 type Run struct {
 	ID   string `json:"id"`
 	Hash string `json:"hash"`
@@ -57,9 +64,17 @@ type Run struct {
 
 	mu      sync.Mutex
 	state   string // "queued" | "running" | "done" | "failed" | "timeout"
-	events  []obs.Event
-	notify  chan struct{} // closed+replaced on every append/state change
+	log     []byte
+	lines   []logLine
+	totals  EventTotals   // the simulation's events counted so far
+	wake    chan struct{} // non-nil while a reader waits; closed by the next append or state change
 	outcome *outcome
+}
+
+// logLine locates one event's line in a run's log.
+type logLine struct {
+	end  int    // offset in the log one past the line's '\n'
+	kind string // the event's kind, which names it in an SSE stream
 }
 
 // New returns a started server with the given worker-pool size.
@@ -123,59 +138,83 @@ func (r *Run) primary() *Run {
 	return r
 }
 
+// finished reports whether state is terminal.
+func finished(state string) bool {
+	return state == "done" || state == "failed" || state == "timeout"
+}
+
 // snapshot returns the run's state, event count and outcome.
 func (r *Run) snapshot() (state string, events int, out *outcome) {
 	p := r.primary()
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.state, len(p.events), p.outcome
+	return p.state, len(p.lines), p.outcome
 }
 
-// eventsSince returns the events at positions ≥ from (0-based), the
-// channel closed on the next append, and whether the run is finished.
-// The returned slice aliases the append-only log: entries are never
-// mutated after append, so reading them without the lock is safe.
-func (r *Run) eventsSince(from int) ([]obs.Event, <-chan struct{}, bool) {
+// since returns the log's lines at positions ≥ from (0-based, clamped
+// to the log): their bytes back to back, and the lines themselves (for
+// their kinds). The bytes alias the append-only log; the caller writes
+// them out after the lock is released. When there is no such line, it
+// returns instead a channel that the next append or state change
+// closes, or nil once the run is finished: only a reader with nothing
+// left to write waits.
+func (r *Run) since(from int) (b []byte, lines []logLine, wake <-chan struct{}) {
 	p := r.primary()
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	// Clamp both ends: the HTTP layer rejects negative cursors, but the
-	// clamp must live here too — p.events[from:] on a negative index
-	// would panic the handler goroutine for any future caller that
-	// forgets the check.
-	if from < 0 {
-		from = 0
+	from = min(max(from, 0), len(p.lines))
+	if from < len(p.lines) {
+		start := 0
+		if from > 0 {
+			start = p.lines[from-1].end
+		}
+		return p.log[start:], p.lines[from:], nil
 	}
-	if from > len(p.events) {
-		from = len(p.events)
+	if !finished(p.state) {
+		if p.wake == nil {
+			p.wake = make(chan struct{})
+		}
+		wake = p.wake
 	}
-	done := p.state == "done" || p.state == "failed" || p.state == "timeout"
-	return p.events[from:], p.notify, done
+	return nil, nil, wake
 }
 
-// appendEvent adds ev to the primary log, assigning the stream
-// sequence number, and wakes streaming readers.
+// wakeReaders releases the readers waiting for the log to change.
+// Callers hold r.mu.
+func (r *Run) wakeReaders() {
+	if r.wake != nil {
+		close(r.wake)
+		r.wake = nil
+	}
+}
+
+// appendEvent numbers ev by its position in a primary run's log,
+// appends its NDJSON line, counts it and wakes the waiting readers.
 func (r *Run) appendEvent(ev obs.Event) {
-	p := r.primary()
-	p.mu.Lock()
-	ev.Seq = int64(len(p.events) + 1)
-	p.events = append(p.events, ev)
-	close(p.notify)
-	p.notify = make(chan struct{})
-	p.mu.Unlock()
+	r.mu.Lock()
+	ev.Seq = int64(len(r.lines) + 1)
+	r.log = append(appendEventJSON(r.log, &ev), '\n')
+	r.lines = append(r.lines, logLine{end: len(r.log), kind: ev.Kind})
+	r.totals.count(&ev)
+	r.wakeReaders()
+	r.mu.Unlock()
 }
 
-// setState transitions the run and wakes streaming readers.
+// setState transitions a primary run and wakes the waiting readers. A
+// terminal state completes the log, which then gives back the capacity
+// append grew ahead of it.
 func (r *Run) setState(state string, out *outcome) {
-	p := r.primary()
-	p.mu.Lock()
-	p.state = state
+	r.mu.Lock()
+	r.state = state
 	if out != nil {
-		p.outcome = out
+		r.outcome = out
 	}
-	close(p.notify)
-	p.notify = make(chan struct{})
-	p.mu.Unlock()
+	if finished(state) {
+		r.log = slices.Clone(r.log)
+		r.lines = slices.Clone(r.lines)
+	}
+	r.wakeReaders()
+	r.mu.Unlock()
 }
 
 // Submit normalizes, hashes and enqueues a scenario. An identical
@@ -193,59 +232,70 @@ func (s *Server) Submit(spec Spec) (*Run, bool, error) {
 		s.mu.Unlock()
 		return nil, false, ErrShuttingDown
 	}
-	s.seq++
-	id := "r" + strconv.Itoa(s.seq)
+	id := "r" + strconv.Itoa(s.seq+1)
 	if prim, ok := s.byHash[hash]; ok {
 		run := &Run{ID: id, Hash: hash, spec: norm, src: prim}
-		s.runs[id] = run
-		s.order = append(s.order, id)
+		s.register(run)
 		s.mu.Unlock()
 		s.reg.Counter("stampserve_runs_submitted_total", "Scenario submissions accepted.").Inc()
 		s.reg.Counter("stampserve_cache_hits_total", "Submissions served from the scenario-hash result cache.").Inc()
 		s.logf("run %s: cache hit for %s (hash %.12s, primary %s)", id, norm.Describe(), hash, prim.ID)
 		return run, true, nil
 	}
-	run := &Run{ID: id, Hash: hash, spec: norm, state: "queued", notify: make(chan struct{})}
-	s.runs[id] = run
-	s.order = append(s.order, id)
+	// The run stays private until the queue takes it, so a full queue
+	// rejects it without a trace in the run list, the cache or the
+	// submission count. Sending under s.mu after the closed check keeps
+	// Close from closing the queue in between.
+	run := &Run{ID: id, Hash: hash, spec: norm, state: "queued"}
+	run.appendEvent(obs.Event{Kind: evRun, Name: "queued", Detail: norm.Describe()})
+	inflight := s.reg.Gauge("stampserve_runs_inflight", "Runs queued or executing.")
+	inflight.Add(1)
+	select {
+	case s.queue <- run:
+	default:
+		s.mu.Unlock()
+		inflight.Add(-1)
+		return nil, false, ErrQueueFull
+	}
+	s.register(run)
 	s.byHash[hash] = run
 	s.mu.Unlock()
 
 	s.reg.Counter("stampserve_runs_submitted_total", "Scenario submissions accepted.").Inc()
-	s.reg.Gauge("stampserve_runs_inflight", "Runs queued or executing.").Add(1)
-	run.appendEvent(obs.Event{Kind: evRun, Name: "queued", Detail: norm.Describe()})
 	s.logf("run %s: queued %s (hash %.12s)", id, norm.Describe(), hash)
-
-	select {
-	case s.queue <- run:
-	default:
-		// Queue full: fail the run rather than block the handler.
-		run.setState("failed", &outcome{
-			res:        Result{Spec: norm, Hash: hash, Status: "failed", Error: ErrQueueFull.Error()},
-			resultJSON: []byte(fmt.Sprintf(`{"hash":%q,"status":"failed","error":%q}`, hash, ErrQueueFull.Error())),
-		})
-		s.mu.Lock()
-		delete(s.byHash, hash) // don't cache the rejection
-		s.mu.Unlock()
-		s.reg.Gauge("stampserve_runs_inflight", "Runs queued or executing.").Add(-1)
-		return nil, false, ErrQueueFull
-	}
 	return run, false, nil
 }
 
-// execute runs a primary run on a worker, forwarding simulation
-// events into the run log and the server metrics.
+// register publishes an accepted run under the next id. Callers hold
+// s.mu.
+func (s *Server) register(run *Run) {
+	s.seq++
+	s.runs[run.ID] = run
+	s.order = append(s.order, run.ID)
+}
+
+// execute runs a primary run on a worker. The tracer's sink logs each
+// simulation event and counts it into the server metrics on the
+// simulation's goroutine.
 func (s *Server) execute(run *Run) {
 	run.setState("running", nil)
 	run.appendEvent(obs.Event{Kind: evRun, Name: "started"})
 	s.logf("run %s: started", run.ID)
 
+	byKind := map[string]obs.Counter{} // each kind's handle, resolved once per run
 	out := execute(run.spec, func(ev obs.Event) {
 		run.appendEvent(ev)
-		s.reg.Counter("stampserve_events_total", "Simulation events streamed, by kind.",
-			obs.L("kind", ev.Kind)).Inc()
+		c, ok := byKind[ev.Kind]
+		if !ok {
+			c = s.reg.Counter("stampserve_events_total", "Simulation events streamed, by kind.",
+				obs.L("kind", ev.Kind))
+			byKind[ev.Kind] = c
+		}
+		c.Inc()
 	})
-	out.res.Events = summarize(run)
+	run.mu.Lock()
+	out.res.Events = run.totals
+	run.mu.Unlock()
 
 	// Re-encode with the event totals folded in; the encoding is the
 	// canonical byte payload the cache serves forever after.
@@ -271,33 +321,6 @@ func (s *Server) execute(run *Run) {
 	s.reg.Counter("stampserve_runs_completed_total", "Runs finished, by status.",
 		obs.L("status", status)).Inc()
 	s.logf("run %s: %s", run.ID, status)
-}
-
-// summarize counts the run's simulation events for the result JSON.
-// Excludes the trailing lifecycle event (not yet appended) and counts
-// only deterministic simulation kinds, so the totals are a pure
-// function of the scenario.
-func summarize(run *Run) EventTotals {
-	evs, _, _ := run.eventsSince(0)
-	var t EventTotals
-	for _, ev := range evs {
-		switch ev.Kind {
-		case evRun:
-			continue
-		case obs.EvSpanOpen:
-			t.Spans++
-		case obs.EvBarrier:
-			if ev.Gen > t.BarrierGenerations {
-				t.BarrierGenerations = ev.Gen
-			}
-		case obs.EvCkpt:
-			t.CkptCommits++
-		case obs.EvFault:
-			t.FaultFirings++
-		}
-		t.Total++
-	}
-	return t
 }
 
 // publishRunMetrics exports a completed run's model metrics and drift
@@ -513,32 +536,38 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/x-ndjson")
 	}
 	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
+	var frame []byte
 	for {
-		evs, notify, done := run.eventsSince(from)
-		for _, ev := range evs {
+		b, lines, wake := run.since(from)
+		if len(lines) > 0 {
+			// The stored bytes go out as they are: in one Write for
+			// NDJSON, and one framed line per event for SSE. A failed
+			// write means the client has gone.
 			if sse {
-				fmt.Fprintf(w, "event: %s\ndata: ", ev.Kind)
-			}
-			enc.Encode(ev)
-			if sse {
-				fmt.Fprint(w, "\n")
-			}
-			from++
-		}
-		if flusher != nil && len(evs) > 0 {
-			flusher.Flush()
-		}
-		if done {
-			// Catch events appended between the final read and the state
-			// transition.
-			if evs, _, _ := run.eventsSince(from); len(evs) == 0 {
+				for _, l := range lines {
+					// A JSON line holds no raw newline: it ends at the next.
+					n := bytes.IndexByte(b, '\n') + 1
+					frame = append(append(append(frame[:0], "event: "...), l.kind...), "\ndata: "...)
+					frame = append(append(frame, b[:n]...), '\n')
+					if _, err := w.Write(frame); err != nil {
+						return
+					}
+					b = b[n:]
+				}
+			} else if _, err := w.Write(b); err != nil {
 				return
+			}
+			from += len(lines)
+			if flusher != nil {
+				flusher.Flush()
 			}
 			continue
 		}
+		if wake == nil {
+			return // the run is finished and its log written out
+		}
 		select {
-		case <-notify:
+		case <-wake:
 		case <-r.Context().Done():
 			return
 		}

@@ -110,11 +110,40 @@ check_cache_byte_identical() {
     fail "cache hit not counted in /metrics"
 }
 
+check_sse_matches_ndjson() {
+  local id
+  id=$(cat "$WORKDIR/jacobi_run_id") || fail "run the jacobi check first"
+  curl -fsS -H 'Accept: text/event-stream' "${STAMPSERVE_URL}/runs/$id/events" \
+    >"$WORKDIR/jacobi_events.sse" || fail "SSE download"
+
+  # Each SSE frame is an "event: <kind>" line, a "data: <json>" line and
+  # a blank line: the payloads must be the NDJSON lines, in order, and
+  # each frame's event name that line's kind.
+  sed -n 's/^data: //p' "$WORKDIR/jacobi_events.sse" >"$WORKDIR/sse_data.ndjson"
+  cmp -s "$WORKDIR/sse_data.ndjson" "$WORKDIR/jacobi_events.ndjson" ||
+    fail "SSE data payloads differ from the NDJSON lines"
+  sed -n 's/^event: //p' "$WORKDIR/jacobi_events.sse" >"$WORKDIR/sse_kinds.txt"
+  jq -r .kind "$WORKDIR/jacobi_events.ndjson" >"$WORKDIR/ndjson_kinds.txt"
+  cmp -s "$WORKDIR/sse_kinds.txt" "$WORKDIR/ndjson_kinds.txt" ||
+    fail "SSE event names differ from the NDJSON kinds"
+
+  # Resuming with ?from=10 returns the NDJSON lines after the tenth.
+  get "/runs/$id/events?from=10" >"$WORKDIR/events_from10.ndjson" || fail "resume download"
+  tail -n +11 "$WORKDIR/jacobi_events.ndjson" >"$WORKDIR/events_tail.ndjson"
+  [[ -s "$WORKDIR/events_tail.ndjson" ]] || fail "jacobi stream has no lines past the tenth"
+  cmp -s "$WORKDIR/events_from10.ndjson" "$WORKDIR/events_tail.ndjson" ||
+    fail "?from=10 did not return NDJSON lines 11 onward"
+}
+
 run_all_checks() {
   local rc=0 c
   for c in check_healthz check_jacobi_barrier_stream check_experiment_scenario \
-    check_metrics_exposition check_cache_byte_identical; do
-    if "$c"; then
+    check_metrics_exposition check_cache_byte_identical check_sse_matches_ndjson; do
+    # Like bats, stop a check at its first failed assertion: run it under
+    # errexit, in a subshell whose status is read only after it exits (a
+    # check called as an if condition would run with errexit ignored).
+    (set -e; "$c")
+    if (($? == 0)); then
       echo "ok   $c"
     else
       echo "FAIL $c"
