@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test bench bench-smoke check fmt vet lint race golden-cpus ckpt-fuzz flake-hunt e2e examples
+.PHONY: all build test bench bench-smoke check fmt vet lint race golden-cpus ckpt-fuzz flake-hunt e2e examples perfbench-check
 
 all: build
 
@@ -41,8 +41,9 @@ lint: vet
 # package that runs kernels, which guards the coroutine switches between
 # Run's goroutine and the process bodies and the teardown that unwinds
 # them on Run's goroutine; Systems running side by side in one process
-# (each experiment's cell fan-out, the parallel experiment harness, the
-# *UnderShards suites); the observer sinks read while a run streams;
+# (each experiment's cell fan-out, the parallel experiment harness, and
+# the *UnderShards tests, which rerun one job on 1, 2 and 4 concurrent
+# host goroutines); the observer sinks read while a run streams;
 # stampserve; and the lint engine's parallel type-checks.
 race:
 	$(GO) test -race ./internal/sim/... ./internal/core/... ./internal/experiments/... ./internal/obs/... ./internal/msgpass/... ./internal/fault/... ./internal/racedet/... ./internal/ckpt/... ./internal/serve/... ./internal/lint/... ./internal/stm/... ./internal/apps/... ./internal/adapt/... ./stamp/...
@@ -62,20 +63,26 @@ golden-cpus:
 
 # Kill/restore equivalence fuzz: crash a checkpointed run at many event
 # budgets, restore, and require the final virtual time, energy and
-# iterates to match a clean run bit-for-bit (1, 2 and 4 host workers,
-# fast and slow kernel paths). On failure the test drops the offending
-# checkpoint blobs plus a diff into $CKPT_FAIL_DIR if it is set.
+# iterates to match a clean run bit-for-bit (1, 2 and 4 host workers).
+# On failure the test drops the offending checkpoint blobs plus a diff
+# into $CKPT_FAIL_DIR if it is set.
 ckpt-fuzz:
 	$(GO) test -run 'TestKillRestoreEquivalence|TestDoubleCrashRestore' -count=1 ./internal/ckpt
 
-# Execution-equivalence flake hunt: FLAKE_HUNT_N fresh randomized seeds
+# Determinism flake hunt: FLAKE_HUNT_N fresh randomized seeds
 # (wall-clock master seed, every run new territory) through the kill and
-# fast-path equivalence fuzzes (fast path against slow path). Every seed
-# is logged; reproduce a failure exactly with
-# `make flake-hunt FLAKE_HUNT_SEED=<master seed from the log>`.
+# hold program generators, each run twice per seed and required to give
+# identical traces. Every seed is logged; reproduce a failure exactly
+# with `make flake-hunt FLAKE_HUNT_SEED=<master seed from the log>`.
 FLAKE_HUNT_N ?= 500
 flake-hunt:
 	FLAKE_HUNT_N=$(FLAKE_HUNT_N) FLAKE_HUNT_SEED=$(FLAKE_HUNT_SEED) $(GO) test -run 'TestFlakeHunt' -count=1 -v ./internal/sim/
+
+# Build, vet and short-test the benchmark module under perfbench/. It
+# imports core, experiments, obs, stm and the apps, so a change that
+# breaks what it uses fails here rather than in the benchmark pipeline.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test -short ./...
 
 # Run every program under examples/ and fail on a non-zero exit. Each
 # exits non-zero when its run fails; apsp, banking and pipeline also
@@ -89,6 +96,7 @@ examples:
 # race-detector, checkpoint, serve and lint packages must pass under the
 # Go race detector, every experiment golden must hold at four Ps,
 # the checkpoint kill/restore fuzz must hold bit-for-bit, every benchmark
-# must at least run and every example must run cleanly.
-check: build vet lint fmt race golden-cpus ckpt-fuzz bench-smoke examples
+# must at least run, every example must run cleanly and the perfbench
+# module must build, vet and pass its short tests.
+check: build vet lint fmt race golden-cpus ckpt-fuzz bench-smoke examples perfbench-check
 	$(GO) test ./...

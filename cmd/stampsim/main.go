@@ -67,6 +67,10 @@ func main() {
 	exitIf(err)
 	mgr, err := stm.ManagerByName(*manager)
 	exitIf(err)
+	apspMode, err := apsp.ModeByName(*mode)
+	exitIf(err)
+	pol, err := airline.PolicyByName(*policy)
+	exitIf(err)
 
 	var opts []core.Option
 	opts = append(opts, core.WithContentionManager(mgr))
@@ -134,10 +138,6 @@ func main() {
 
 	case "apsp":
 		g := workload.NewRandomGraph(*n, 0.25, 40, *seed)
-		m := apsp.Async
-		if *mode == "bulksync" {
-			m = apsp.BulkSync
-		}
 		var slow []float64
 		if *skew > 1 {
 			slow = make([]float64, *n)
@@ -146,11 +146,11 @@ func main() {
 			}
 			slow[0] = *skew
 		}
-		res, err := apsp.Run(sys, apsp.Config{Graph: g, Mode: m, SlowFactor: slow})
+		res, err := apsp.Run(sys, apsp.Config{Graph: g, Mode: apspMode, SlowFactor: slow})
 		exitIf(err)
 		ok := apsp.Equal(res.Dist, apsp.FloydWarshall(g))
 		fmt.Printf("apsp %v mode=%v: %d epochs, %d total rounds, correct=%v\n",
-			apsp.DefaultAttrs, m, res.Epochs, res.TotalRounds(), ok)
+			apsp.DefaultAttrs, apspMode, res.Epochs, res.TotalRounds(), ok)
 		if model, mt, me, ok := apsp.Model(res.Group); ok {
 			obs.RecordDrift(ob.Registry(), "apsp", "T_sround", model.TSRoundEffective(), mt)
 			obs.RecordDrift(ob.Registry(), "apsp", "E_sround_upper", model.ESRoundUpper(), me)
@@ -167,10 +167,6 @@ func main() {
 
 	case "airline":
 		wl := workload.NewAirline(*n, 4, 10**procs, *seed)
-		pol := airline.Partial
-		if *policy == "strict" {
-			pol = airline.Strict
-		}
 		res, err := airline.Run(sys, wl, *procs, pol)
 		exitIf(err)
 		fmt.Printf("airline %v policy=%v: %v, %d legs committed, success rate %.3f\n",

@@ -59,8 +59,6 @@ type Config struct {
 	// with EnableFailover so threatened processes live long enough to
 	// migrate.
 	Plan *fault.Plan
-	// Every evaluates the loop at every Every-th generation (default 1).
-	Every int
 	// Words is the migration payload size w: each mover is charged
 	// 2·(ℓ_e + w·g_sh_e) — snapshot write plus state transfer.
 	Words int
@@ -84,8 +82,7 @@ type Config struct {
 // construct with New. A nil *Controller is a valid no-op — pass it
 // where an application takes an optional controller.
 type Controller struct {
-	cfg   Config
-	every int
+	cfg Config
 
 	cur *genDecision
 
@@ -111,14 +108,10 @@ type genDecision struct {
 
 // New returns a controller for cfg.
 func New(cfg Config) *Controller {
-	every := cfg.Every
-	if every <= 0 {
-		every = 1
-	}
 	if cfg.Words < 0 {
 		panic("adapt: negative payload size")
 	}
-	return &Controller{cfg: cfg, every: every, throttled: map[int]float64{}}
+	return &Controller{cfg: cfg, throttled: map[int]float64{}}
 }
 
 // Sync is the adaptive loop's cooperative hook: every group member
@@ -132,10 +125,7 @@ func New(cfg Config) *Controller {
 // be nil for members carrying no application payload; when non-nil it
 // must be a pointer, since a mover's image is implanted back into it.
 func (a *Controller) Sync(ctx *core.Ctx, gen int, state any) {
-	if a == nil {
-		return
-	}
-	if gen <= 0 || gen%a.every != 0 {
+	if a == nil || gen <= 0 {
 		return
 	}
 	now := ctx.Now()

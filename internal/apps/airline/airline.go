@@ -45,6 +45,16 @@ func (p Policy) String() string {
 	return "strict"
 }
 
+// PolicyByName returns the policy whose String is name.
+func PolicyByName(name string) (Policy, error) {
+	for _, p := range []Policy{Partial, Strict} {
+		if p.String() == name {
+			return p, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown policy %q (want partial | strict)", name)
+}
+
 // Desk is the shared reservation state: seats remaining per leg.
 type Desk struct {
 	wl   workload.Airline

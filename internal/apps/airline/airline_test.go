@@ -1,6 +1,7 @@
 package airline
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -160,6 +161,27 @@ func TestVerdictAndPolicyStrings(t *testing.T) {
 	}
 	if Partial.String() != "partial" || Strict.String() != "strict" {
 		t.Fatal("policy strings wrong")
+	}
+}
+
+// TestPolicyByName: every policy's String resolves back to it, and any
+// other name is rejected with an error that names both policies.
+func TestPolicyByName(t *testing.T) {
+	for _, p := range []Policy{Partial, Strict} {
+		got, err := PolicyByName(p.String())
+		if err != nil || got != p {
+			t.Errorf("PolicyByName(%q) = %v, %v; want %v", p.String(), got, err, p)
+		}
+	}
+	for _, name := range []string{"", "bulk", "Strict", "Partial"} {
+		_, err := PolicyByName(name)
+		if err == nil {
+			t.Errorf("PolicyByName(%q) accepted", name)
+			continue
+		}
+		if msg := err.Error(); !strings.Contains(msg, "partial") || !strings.Contains(msg, "strict") {
+			t.Errorf("PolicyByName(%q) error %q does not name both policies", name, msg)
+		}
 	}
 }
 

@@ -49,6 +49,16 @@ func (m Mode) String() string {
 	return "bulksync"
 }
 
+// ModeByName returns the mode whose String is name.
+func ModeByName(name string) (Mode, error) {
+	for _, m := range []Mode{Async, BulkSync} {
+		if m.String() == name {
+			return m, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown apsp mode %q (want async | bulksync)", name)
+}
+
 // Config parameterizes an APSP run.
 type Config struct {
 	Graph workload.Graph

@@ -1,6 +1,7 @@
 package apsp
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -157,6 +158,27 @@ func TestBadSlowFactorRejected(t *testing.T) {
 func TestModeStrings(t *testing.T) {
 	if Async.String() != "async" || BulkSync.String() != "bulksync" {
 		t.Fatal("mode strings wrong")
+	}
+}
+
+// TestModeByName: every mode's String resolves back to it, and any
+// other name is rejected with an error that names both modes.
+func TestModeByName(t *testing.T) {
+	for _, m := range []Mode{Async, BulkSync} {
+		got, err := ModeByName(m.String())
+		if err != nil || got != m {
+			t.Errorf("ModeByName(%q) = %v, %v; want %v", m.String(), got, err, m)
+		}
+	}
+	for _, name := range []string{"", "bulk", "Strict", "BulkSync"} {
+		_, err := ModeByName(name)
+		if err == nil {
+			t.Errorf("ModeByName(%q) accepted", name)
+			continue
+		}
+		if msg := err.Error(); !strings.Contains(msg, "async") || !strings.Contains(msg, "bulksync") {
+			t.Errorf("ModeByName(%q) error %q does not name both modes", name, msg)
+		}
 	}
 }
 

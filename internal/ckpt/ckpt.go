@@ -334,7 +334,7 @@ func (ck *Controller) contribute(ctx *core.Ctx, gen int, state any) {
 		// stream (generation only — the path is host state and would
 		// break the stream's determinism).
 		if tr := ctx.System().Obs.Tracer(); tr.Streaming() {
-			tr.Emit(obs.Event{At: now, Kind: obs.EvCkpt, Proc: ctx.SimProc().Name(),
+			tr.Emit(obs.Event{At: now, Kind: obs.EvCkpt, Proc: ctx.Proc().Name(),
 				Cat: "ckpt", Name: "commit", Gen: int64(b.snap.Generation),
 				Detail: fmt.Sprintf("members %d vtime %d", g.Size(), now)})
 		}

@@ -33,10 +33,9 @@ type runOutcome struct {
 	err        error
 }
 
-func newSys(maxEvents int64, slow bool) *core.System {
+func newSys(maxEvents int64) *core.System {
 	sys := core.NewSystem(machine.Niagara())
 	sys.K.MaxEvents = maxEvents
-	sys.K.DisableFastPath = slow
 	return sys
 }
 
@@ -111,96 +110,87 @@ func dumpFailure(t *testing.T, ckptDir, label, diff string) {
 // iterate to be byte-identical to an uninterrupted run with the same
 // checkpoint interval. The matrix is repeated with the kill/restore
 // cycles spread across 1, 2 and 4 host worker goroutines (simulation
-// results must not depend on host scheduling), and under the kernel's
-// slow path (DisableFastPath), which must agree with the fast path.
+// results must not depend on host scheduling).
 func TestKillRestoreEquivalence(t *testing.T) {
-	for _, slow := range []bool{false, true} {
-		mode := "fastpath"
-		if slow {
-			mode = "slowpath"
+	ckClean, err := ckpt.New(t.TempDir(), equivEvery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clean := runJacobi(t, newSys(0), ckClean)
+	if clean.err != nil {
+		t.Fatal(clean.err)
+	}
+
+	// Checkpointing must not perturb the computation: the plain run's
+	// iterate is bit-identical; only time (and its energy) shifts by the
+	// per-checkpoint charge.
+	plain := runJacobi(t, newSys(0), nil)
+	if plain.err != nil {
+		t.Fatal(plain.err)
+	}
+	for i := range plain.x {
+		if math.Float64bits(plain.x[i]) != math.Float64bits(clean.x[i]) {
+			t.Fatalf("checkpointing changed the iterate: x[%d] %v != %v", i, clean.x[i], plain.x[i])
 		}
-		t.Run(mode, func(t *testing.T) {
-			ckClean, err := ckpt.New(t.TempDir(), equivEvery)
-			if err != nil {
-				t.Fatal(err)
-			}
-			clean := runJacobi(t, newSys(0, slow), ckClean)
-			if clean.err != nil {
-				t.Fatal(clean.err)
-			}
+	}
+	if clean.vt <= plain.vt {
+		t.Fatalf("checkpoint charge missing: clean T %d <= plain T %d", clean.vt, plain.vt)
+	}
 
-			// Checkpointing must not perturb the computation: the plain
-			// run's iterate is bit-identical; only time (and its energy)
-			// shifts by the per-checkpoint charge.
-			plain := runJacobi(t, newSys(0, slow), nil)
-			if plain.err != nil {
-				t.Fatal(plain.err)
-			}
-			for i := range plain.x {
-				if math.Float64bits(plain.x[i]) != math.Float64bits(clean.x[i]) {
-					t.Fatalf("checkpointing changed the iterate: x[%d] %v != %v", i, clean.x[i], plain.x[i])
-				}
-			}
-			if clean.vt <= plain.vt {
-				t.Fatalf("checkpoint charge missing: clean T %d <= plain T %d", clean.vt, plain.vt)
-			}
-
-			// Kill points as fixed fractions of the clean run's dispatch
-			// count: early (before the first checkpoint), mid-iteration,
-			// mid-commit-window, and just before completion.
-			d := clean.dispatched
-			points := []int64{d / 8, d / 6, d / 3, d / 2, 2 * d / 3, 5 * d / 6, d - 3}
-			for _, workers := range []int{1, 2, 4} {
-				t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-					var wg sync.WaitGroup
-					for w := 0; w < workers; w++ {
-						wg.Add(1)
-						go func(w int) {
-							defer wg.Done()
-							for idx, kill := range points {
-								if idx%workers != w {
-									continue
-								}
-								label := fmt.Sprintf("%s-w%d-kill%d", mode, workers, kill)
-								dir := t.TempDir()
-								ckKill, err := ckpt.New(dir, equivEvery)
-								if err != nil {
-									t.Error(err)
-									continue
-								}
-								killed := runJacobi(t, newSys(kill, slow), ckKill)
-								var lim *sim.ErrEventLimit
-								if !errors.As(killed.err, &lim) {
-									t.Errorf("kill at event %d: err = %v, want ErrEventLimit", kill, killed.err)
-									continue
-								}
-								ckRes, err := ckpt.Resume(dir, equivEvery)
-								if errors.Is(err, ckpt.ErrNoCheckpoint) {
-									// Crashed before the first checkpoint:
-									// recovery is a from-scratch restart, which
-									// must still reproduce the clean run.
-									ckRes, err = ckpt.New(dir, equivEvery)
-								}
-								if err != nil {
-									t.Error(err)
-									continue
-								}
-								restored := runJacobi(t, newSys(0, slow), ckRes)
-								if restored.err != nil {
-									t.Errorf("kill at event %d: restored run failed: %v", kill, restored.err)
-									continue
-								}
-								if diff := sameRun(clean, restored); diff != "" {
-									msg := fmt.Sprintf("kill at event %d of %d: restored run diverged from uninterrupted run: %s", kill, d, diff)
-									dumpFailure(t, dir, label, msg)
-									t.Error(msg)
-								}
-							}
-						}(w)
+	// Kill points as fixed fractions of the clean run's dispatch count:
+	// early (before the first checkpoint), mid-iteration,
+	// mid-commit-window, and just before completion.
+	d := clean.dispatched
+	points := []int64{d / 8, d / 6, d / 3, d / 2, 2 * d / 3, 5 * d / 6, d - 3}
+	for _, workers := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for idx, kill := range points {
+						if idx%workers != w {
+							continue
+						}
+						label := fmt.Sprintf("w%d-kill%d", workers, kill)
+						dir := t.TempDir()
+						ckKill, err := ckpt.New(dir, equivEvery)
+						if err != nil {
+							t.Error(err)
+							continue
+						}
+						killed := runJacobi(t, newSys(kill), ckKill)
+						var lim *sim.ErrEventLimit
+						if !errors.As(killed.err, &lim) {
+							t.Errorf("kill at event %d: err = %v, want ErrEventLimit", kill, killed.err)
+							continue
+						}
+						ckRes, err := ckpt.Resume(dir, equivEvery)
+						if errors.Is(err, ckpt.ErrNoCheckpoint) {
+							// Crashed before the first checkpoint: recovery
+							// is a from-scratch restart, which must still
+							// reproduce the clean run.
+							ckRes, err = ckpt.New(dir, equivEvery)
+						}
+						if err != nil {
+							t.Error(err)
+							continue
+						}
+						restored := runJacobi(t, newSys(0), ckRes)
+						if restored.err != nil {
+							t.Errorf("kill at event %d: restored run failed: %v", kill, restored.err)
+							continue
+						}
+						if diff := sameRun(clean, restored); diff != "" {
+							msg := fmt.Sprintf("kill at event %d of %d: restored run diverged from uninterrupted run: %s", kill, d, diff)
+							dumpFailure(t, dir, label, msg)
+							t.Error(msg)
+						}
 					}
-					wg.Wait()
-				})
+				}(w)
 			}
+			wg.Wait()
 		})
 	}
 }
@@ -215,7 +205,7 @@ func TestResumeBeforeFirstCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	killed := runJacobi(t, newSys(40, false), ck)
+	killed := runJacobi(t, newSys(40), ck)
 	var lim *sim.ErrEventLimit
 	if !errors.As(killed.err, &lim) {
 		t.Fatalf("err = %v, want ErrEventLimit", killed.err)
@@ -233,7 +223,7 @@ func TestDoubleCrashRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clean := runJacobi(t, newSys(0, false), ckClean)
+	clean := runJacobi(t, newSys(0), ckClean)
 	if clean.err != nil {
 		t.Fatal(clean.err)
 	}
@@ -242,13 +232,13 @@ func TestDoubleCrashRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runJacobi(t, newSys(clean.dispatched/3, false), ck1) // first crash
+	runJacobi(t, newSys(clean.dispatched/3), ck1) // first crash
 	ck2, err := ckpt.Resume(dir, equivEvery)
 	if err != nil {
 		t.Fatal(err)
 	}
 	gen1 := ck2.ResumedGeneration()
-	second := runJacobi(t, newSys(3*clean.dispatched/4, false), ck2) // second crash
+	second := runJacobi(t, newSys(3*clean.dispatched/4), ck2) // second crash
 	var lim *sim.ErrEventLimit
 	if !errors.As(second.err, &lim) {
 		t.Fatalf("second crash err = %v, want ErrEventLimit", second.err)
@@ -261,7 +251,7 @@ func TestDoubleCrashRestore(t *testing.T) {
 		t.Fatalf("second resume generation %d not past first resume %d (resumed run stopped checkpointing)",
 			ck3.ResumedGeneration(), gen1)
 	}
-	final := runJacobi(t, newSys(0, false), ck3)
+	final := runJacobi(t, newSys(0), ck3)
 	if final.err != nil {
 		t.Fatal(final.err)
 	}

@@ -8,7 +8,6 @@ import (
 	"repro/internal/apps/jacobi"
 	"repro/internal/ckpt"
 	"repro/internal/fault"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -19,8 +18,7 @@ import (
 // lower sequence numbers than the members' commit wakes and the
 // kernel's FIFO same-time order dispatches them FIRST — the members
 // die before any of them contributes, and the raced generation's
-// checkpoint is NOT written. The outcome must be identical with the
-// hold-coalescing fast path disabled.
+// checkpoint is NOT written.
 func TestKillAtCommitInstant(t *testing.T) {
 	// A clean run discovers the consistency instant: the first
 	// checkpoint generation's recorded virtual time.
@@ -29,7 +27,7 @@ func TestKillAtCommitInstant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clean := runJacobi(t, newSys(0, false), ckA)
+	clean := runJacobi(t, newSys(0), ckA)
 	if clean.err != nil {
 		t.Fatal(clean.err)
 	}
@@ -39,53 +37,39 @@ func TestKillAtCommitInstant(t *testing.T) {
 	}
 	tc := snap.VTime
 
-	var killedVT [2]sim.Time
-	for i, slow := range []bool{false, true} {
-		mode := "fastpath"
-		if slow {
-			mode = "slowpath"
-		}
-		t.Run(mode, func(t *testing.T) {
-			dir := t.TempDir()
-			ck, err := ckpt.New(dir, equivEvery)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer ck.Close()
-			sys := newSys(0, slow)
-			var evs []fault.CoreFailure
-			for c := 0; c < sys.M.Cfg.NumCores(); c++ {
-				evs = append(evs, fault.CoreFailure{At: tc, Core: c})
-			}
-			pl, err := ck.ArmCoreFailures(sys, evs...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ls := workload.NewLinearSystem(equivN, equivSeed)
-			if _, err := jacobi.Run(sys, jacobi.Config{System: ls, Iters: equivIters, Ckpt: ck}); err != nil {
-				// With every member dead the kernel simply drains; an
-				// all-members-lost run completes without error.
-				t.Fatalf("run with all cores failed at t=%d: %v", tc, err)
-			}
-			if got := len(pl.Killed()); got != equivN {
-				t.Fatalf("killed %d members, want all %d", got, equivN)
-			}
-			if pl.Recovery(equivN, false) != fault.RecoverRestart {
-				t.Fatalf("recovery without snapshot = %v, want restart", pl.Recovery(equivN, false))
-			}
-			// Pinned: the kill wins the same-tick race, so the raced
-			// generation's checkpoint must not exist.
-			if w := ck.Written(); len(w) != 0 {
-				t.Fatalf("checkpoint written despite kill at its commit instant: %v", w)
-			}
-			if _, _, err := ckpt.Latest(dir); !errors.Is(err, ckpt.ErrNoCheckpoint) {
-				t.Fatalf("Latest = %v, want ErrNoCheckpoint", err)
-			}
-			killedVT[i] = sys.K.Now()
-		})
+	dir := t.TempDir()
+	ck, err := ckpt.New(dir, equivEvery)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if killedVT[0] != killedVT[1] {
-		t.Fatalf("fast path and slow path disagree on the killed run's final time: %d != %d",
-			killedVT[0], killedVT[1])
+	defer ck.Close()
+	sys := newSys(0)
+	var evs []fault.CoreFailure
+	for c := 0; c < sys.M.Cfg.NumCores(); c++ {
+		evs = append(evs, fault.CoreFailure{At: tc, Core: c})
+	}
+	pl, err := ck.ArmCoreFailures(sys, evs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ls := workload.NewLinearSystem(equivN, equivSeed)
+	if _, err := jacobi.Run(sys, jacobi.Config{System: ls, Iters: equivIters, Ckpt: ck}); err != nil {
+		// With every member dead the kernel simply drains; an
+		// all-members-lost run completes without error.
+		t.Fatalf("run with all cores failed at t=%d: %v", tc, err)
+	}
+	if got := len(pl.Killed()); got != equivN {
+		t.Fatalf("killed %d members, want all %d", got, equivN)
+	}
+	if pl.Recovery(equivN, false) != fault.RecoverRestart {
+		t.Fatalf("recovery without snapshot = %v, want restart", pl.Recovery(equivN, false))
+	}
+	// Pinned: the kill wins the same-tick race, so the raced
+	// generation's checkpoint must not exist.
+	if w := ck.Written(); len(w) != 0 {
+		t.Fatalf("checkpoint written despite kill at its commit instant: %v", w)
+	}
+	if _, _, err := ckpt.Latest(dir); !errors.Is(err, ckpt.ErrNoCheckpoint) {
+		t.Fatalf("Latest = %v, want ErrNoCheckpoint", err)
 	}
 }

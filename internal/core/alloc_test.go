@@ -8,10 +8,9 @@ import (
 
 // With observability disabled (no WithObs), a charged op and the
 // S-unit/S-round structure around it must be allocation-free: the
-// instrumentation hooks all take the nil-receiver no-op path, the
-// kernel stores events inline in its heap slice, and cost batching
-// adds only arithmetic. Absolute zero, not a relative bound — the
-// whole zero-alloc hot path is the contract.
+// instrumentation hooks all take the nil-receiver no-op path and the
+// kernel stores events inline in its heap slice. Absolute zero, not a
+// relative bound — the whole zero-alloc hot path is the contract.
 func TestChargedOpsAllocationFreeWhenObsDisabled(t *testing.T) {
 	sys := NewSystem(machine.Niagara())
 	var holdAllocs, opAllocs, unitAllocs, roundAllocs float64

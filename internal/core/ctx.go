@@ -37,15 +37,6 @@ type Ctx struct {
 	inRound bool
 	inUnit  bool
 
-	// pend is compute time charged by FpOps/IntOps/LocalOps but not yet
-	// materialized as a kernel Hold. Batching is only ever started or
-	// extended when sim.Proc.CanCoalesce says no other event is
-	// scheduled inside the pending window — no simulation state can
-	// change while pend > 0, so deferring is invisible — and every
-	// observation point (Now, Proc, HoldCost, and through them all
-	// memory/msgpass/stm operations) flushes first.
-	pend sim.Time
-
 	roundStart sim.Time
 	roundBase  energy.Counters
 	unitStart  sim.Time
@@ -107,13 +98,8 @@ func (c *Ctx) Group() *Group { return c.g }
 // System returns the owning system.
 func (c *Ctx) System() *System { return c.sys }
 
-// Proc returns the simulated process (Agent interface). Substrates take
-// it to observe or advance the clock, so pending batched compute time is
-// materialized first.
-func (c *Ctx) Proc() *sim.Proc {
-	c.flush()
-	return c.p
-}
+// Proc returns the simulated process (Agent interface).
+func (c *Ctx) Proc() *sim.Proc { return c.p }
 
 // Thread returns the bound hardware thread (Agent interface).
 func (c *Ctx) Thread() machine.ThreadID { return c.thread }
@@ -155,31 +141,8 @@ func (c *Ctx) Coordinates() (unit, round int, inUnit, inRound bool) {
 // ⊃ proc), or 0 when span tracing is disabled.
 func (c *Ctx) CurrentSpan() obs.SpanID { return c.spanParent() }
 
-// Now returns the current virtual time, materializing any pending
-// batched compute time first.
-func (c *Ctx) Now() sim.Time {
-	c.flush()
-	return c.p.Now()
-}
-
-// flush charges accumulated batched compute time as one kernel Hold.
-// The batching invariant (pend only grows while CanCoalesce holds, and
-// no other process can run in between) guarantees the Hold takes the
-// coalescing fast path, so a flush never parks. A process that is
-// unwinding — killed, or torn down after a kernel error — discards its
-// pending ticks instead: its deferred cleanup must neither advance the
-// clock nor re-enter Hold (which would panic again mid-unwind).
-func (c *Ctx) flush() {
-	if c.pend > 0 {
-		if c.p.Unwinding() {
-			c.pend = 0
-			return
-		}
-		d := c.pend
-		c.pend = 0
-		c.p.Hold(d)
-	}
-}
+// Now returns the current virtual time.
+func (c *Ctx) Now() sim.Time { return c.p.Now() }
 
 // --- local computation ----------------------------------------------
 
@@ -189,7 +152,6 @@ func (c *Ctx) HoldCost(ticks float64) {
 	if ticks < 0 {
 		panic("core: negative cost")
 	}
-	c.flush()
 	c.frac += ticks
 	if c.frac >= 1 {
 		n := sim.Time(c.frac)
@@ -210,7 +172,6 @@ func (c *Ctx) ChargeCost(cat obs.Category, ticks float64) {
 	if ticks < 0 {
 		panic("core: negative cost")
 	}
-	c.flush()
 	f := c.fracCat[cat] + ticks
 	if f >= 1 {
 		n := sim.Time(f)
@@ -220,22 +181,6 @@ func (c *Ctx) ChargeCost(cat obs.Category, ticks float64) {
 	}
 	c.fracCat[cat] = f
 }
-
-// Kill terminates the member's simulated process (see sim.Proc.Kill),
-// discarding any batched-but-unmaterialized compute time: a killed
-// process charges nothing further. Safe from kernel callbacks — it
-// never advances the clock.
-func (c *Ctx) Kill() {
-	c.pend = 0
-	c.p.Kill()
-}
-
-// SimProc returns the member's simulated process without materializing
-// batched compute time. Unlike Proc (the Agent-interface accessor,
-// which flushes), SimProc is safe from kernel callbacks, where the
-// member is not the running process; fault plans use it to inspect and
-// kill processes bound to a failed core.
-func (c *Ctx) SimProc() *sim.Proc { return c.p }
 
 // FpOps performs n local floating-point operations: advances time by
 // n·t_fp (scaled by the core's clock multiplier on heterogeneous
@@ -259,14 +204,8 @@ func (c *Ctx) IntOps(n int64) {
 }
 
 // holdCompute charges n local ops of base latency t, honoring the
-// core's frequency multiplier. The homogeneous fast path holds whole
-// ticks exactly; heterogeneous cores accumulate fractional ticks.
-//
-// Consecutive charges batch into one deferred Hold (c.pend) whenever the
-// kernel certifies the extended window is uncontended — the common case
-// for compute-dense S-round phases, where it collapses a long run of
-// FpOps/IntOps calls into a single clock advance at the next
-// observation point.
+// core's frequency multiplier. Homogeneous cores hold whole ticks
+// exactly; heterogeneous cores accumulate fractional ticks.
 func (c *Ctx) holdCompute(n int64, t sim.Time) {
 	cfg := c.sys.M.Cfg
 	core := cfg.CoreOf(c.thread)
@@ -276,13 +215,6 @@ func (c *Ctx) holdCompute(n int64, t sim.Time) {
 	}
 	d := sim.Time(n) * t
 	c.prof.Charge(obs.CatCompute, d)
-	if c.p.CanCoalesce(c.pend + d) {
-		c.pend += d
-		return
-	}
-	c.pend += d
-	d = c.pend
-	c.pend = 0
 	c.p.Hold(d)
 }
 

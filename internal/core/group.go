@@ -135,7 +135,6 @@ func (sys *System) NewGroupOpts(name string, attrs Attrs, n int, body func(ctx *
 				ctx.procSpan = tr.Begin(ctx.start, pname, "proc", pname, 0)
 			}
 			defer func() {
-				ctx.flush() // body may end with batched compute pending
 				ctx.end = p.Now()
 				sys.Obs.Tracer().End(ctx.procSpan, ctx.end)
 				if p.Unwinding() {
@@ -174,7 +173,6 @@ func (g *Group) Placement() Placement { return g.placement }
 // Await blocks the calling STAMP process until every member of g has
 // finished — how a parent waits for a nested STAMP (rule 4 of §3.1).
 func (g *Group) Await(parent *Ctx) {
-	parent.flush() // charge the parent's compute before it blocks
 	for _, c := range g.ctxs {
 		parent.p.Join(c.p)
 	}

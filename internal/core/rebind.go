@@ -32,7 +32,6 @@ func (c *Ctx) Rebind(th machine.ThreadID) {
 	if th == c.thread {
 		return
 	}
-	c.flush()
 	c.sys.M.Release(c.thread)
 	c.sys.M.Bind(th)
 	c.thread = th

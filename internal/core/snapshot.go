@@ -29,14 +29,12 @@ type CtxSnapshot struct {
 }
 
 // Snapshot captures the member's charge and measurement state. It must
-// be taken by the member's own process at a quiescent point — outside
-// any S-unit or S-round — and flushes pending batched compute first, so
-// the captured state is exactly what a fresh observer would see.
+// be taken by the member's own process at a quiescent point, outside
+// any S-unit or S-round.
 func (c *Ctx) Snapshot() CtxSnapshot {
 	if c.inUnit || c.inRound {
 		panic("core: Snapshot inside an S-unit or S-round")
 	}
-	c.flush()
 	s := CtxSnapshot{
 		Index: c.idx, Start: c.start, Counters: c.c,
 		Frac: c.frac, FracCat: c.fracCat,
@@ -76,7 +74,6 @@ func (c *Ctx) RestoreNow(s CtxSnapshot) {
 	if s.Index != c.idx {
 		panic(fmt.Sprintf("core: RestoreNow on member %d with snapshot of member %d", c.idx, s.Index))
 	}
-	c.flush()
 	c.applyRestore(&s)
 }
 

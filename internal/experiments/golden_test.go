@@ -9,7 +9,7 @@ import (
 
 // goldenPath returns the checked-in reference output for an experiment.
 // The goldens were captured from the pre-optimization simulator (the
-// container/heap kernel with no fast path), so they pin every
+// container/heap kernel), so they pin every
 // virtual-time quantity — vticks, venergy, κ, check verdicts — across
 // performance work: any optimization that changes a single byte of any
 // experiment's output is a correctness bug, not a speedup.

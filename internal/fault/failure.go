@@ -103,7 +103,7 @@ func (pl *Plan) killCore(coreIdx int) int {
 	nKilled := 0
 	for _, g := range pl.sys.Groups() {
 		for _, c := range g.Ctxs() {
-			p := c.SimProc()
+			p := c.Proc()
 			if p.Done() || p.Killed() {
 				continue
 			}
@@ -111,7 +111,7 @@ func (pl *Plan) killCore(coreIdx int) int {
 				continue
 			}
 			pl.killed = append(pl.killed, p.Name())
-			c.Kill()
+			p.Kill()
 			nKilled++
 		}
 	}

@@ -32,8 +32,7 @@ func (c Config) WithCoreFreq(freq []float64) Config {
 // throttle response (internal/adapt). Time already charged keeps the
 // cost computed at charge time; only later operations on the core see
 // the new clock, so callers must apply it at a quiescent instant (a
-// barrier generation, with batched compute flushed) for the accounting
-// to stay deterministic. Note that the energy report applies one
+// barrier generation) for the accounting to stay deterministic. Note that the energy report applies one
 // per-core scale to a member's whole op history (energy.EnergyScaled),
 // so a mid-run clock change coarsens E on the throttled core — the
 // same whole-run granularity Config.AtFrequency has always had. The

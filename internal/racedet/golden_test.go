@@ -101,42 +101,26 @@ func TestFixedExampleGolden(t *testing.T) {
 	}
 }
 
-// runStepped runs example on the stepped kernel path
-// (sim.Kernel.DisableFastPath): every Hold parks and is dispatched from
-// the event heap instead of being coalesced, and compute charges are
-// never batched. The detector reads times, coordinates and ordering
-// edges from the simulation, not from how the kernel advanced it, so
-// the report must not change.
-func runStepped(t *testing.T, example func(*core.System) (*core.Group, *memory.Region[int64])) (*Detector, string) {
-	t.Helper()
-	sys := core.NewSystem(machine.Generic(), core.WithObs(obs.NewObserver()))
-	sys.K.DisableFastPath = true
-	d := Attach(sys)
-	example(sys)
-	if err := sys.Run(); err != nil {
-		t.Fatalf("stepped example: %v", err)
-	}
-	return d, d.Text()
-}
-
-// TestStepModeRacyGolden: the racy example on the stepped kernel path
-// reports the same race as the pinned golden, byte for byte.
+// TestStepModeRacyGolden duplicates TestRacyExampleGolden: the kernel
+// has one way to advance time, so every Hold already parks and is
+// dispatched from the event heap, and there is no second kernel path to
+// hold against the golden.
 func TestStepModeRacyGolden(t *testing.T) {
-	d, got := runStepped(t, RacyExample)
+	d, got := runRacy(t)
 	checkGolden(t, "racy", got)
 	if d.Report() == nil {
-		t.Fatal("stepped racy example reported no race")
+		t.Fatal("racy example reported no race")
 	}
 }
 
-// TestStepModeFixedGolden: on the stepped kernel path the barrier's
-// release edges still order the write before the read, yielding the
-// clean-run golden.
+// TestStepModeFixedGolden duplicates TestFixedExampleGolden, for the
+// same reason as TestStepModeRacyGolden: the barrier's release edges
+// order the write before the read, yielding the clean-run golden.
 func TestStepModeFixedGolden(t *testing.T) {
-	d, got := runStepped(t, FixedExample)
+	d, got := runFixed(t)
 	checkGolden(t, "fixed", got)
 	if d.Report() != nil {
-		t.Fatalf("stepped fixed example reported a race:\n%s", got)
+		t.Fatalf("fixed example reported a race:\n%s", got)
 	}
 }
 

@@ -210,10 +210,7 @@ func runApp(spec Spec, res *Result, emit func(obs.Event)) *obs.Registry {
 		}
 	case "airline":
 		wl := workload.NewAirline(spec.N, 4, 10*spec.Procs, spec.Seed)
-		pol := airline.Partial
-		if spec.Policy == "strict" {
-			pol = airline.Strict
-		}
+		pol, _ := airline.PolicyByName(spec.Policy) // Normalize has checked it
 		r, err := airline.Run(sys, wl, spec.Procs, pol)
 		if err != nil {
 			setFailed(res, err)
@@ -291,10 +288,7 @@ func runJacobi(spec Spec, sys *core.System, ob *obs.Observer, res *Result) *core
 
 func runAPSP(spec Spec, sys *core.System, ob *obs.Observer, res *Result) *core.Group {
 	g := workload.NewRandomGraph(spec.N, 0.25, 40, spec.Seed)
-	m := apsp.Async
-	if spec.Mode == "bulksync" {
-		m = apsp.BulkSync
-	}
+	m, _ := apsp.ModeByName(spec.Mode) // Normalize has checked it
 	r, err := apsp.Run(sys, apsp.Config{Graph: g, Mode: m})
 	if err != nil {
 		setFailed(res, err)

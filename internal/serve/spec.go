@@ -19,6 +19,8 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/apps/airline"
+	"repro/internal/apps/apsp"
 	"repro/internal/experiments"
 	"repro/internal/machine"
 	"repro/internal/sim"
@@ -201,8 +203,8 @@ func (s Spec) normalizeApp() (Spec, error) {
 		if s.Mode == "" {
 			s.Mode = "async"
 		}
-		if s.Mode != "async" && s.Mode != "bulksync" {
-			return Spec{}, fmt.Errorf("unknown apsp mode %q (want async | bulksync)", s.Mode)
+		if _, err := apsp.ModeByName(s.Mode); err != nil {
+			return Spec{}, err
 		}
 		if err := s.rejectUnused("apsp", s.Procs != 0 || s.Iters != 0, "procs/iters"); err != nil {
 			return Spec{}, err
@@ -227,8 +229,8 @@ func (s Spec) normalizeApp() (Spec, error) {
 			if s.Policy == "" {
 				s.Policy = "partial"
 			}
-			if s.Policy != "partial" && s.Policy != "strict" {
-				return Spec{}, fmt.Errorf("unknown policy %q (want partial | strict)", s.Policy)
+			if _, err := airline.PolicyByName(s.Policy); err != nil {
+				return Spec{}, err
 			}
 		} else if err := s.rejectUnused("bank", s.Policy != "", "policy"); err != nil {
 			return Spec{}, err

@@ -6,14 +6,15 @@ import (
 )
 
 // The dispatch hot path must not allocate: events live inline in the
-// heap's slice (spare capacity is the free pool), coalesced holds touch
-// no queue at all, and a park is a coroutine switch, which allocates
-// nothing. These tests pin that property so a future "small" change (an
+// heap's slice (spare capacity is the free pool), a park whose wake is
+// the next event returns in place, and any other park is a coroutine
+// switch, which allocates nothing. These tests pin that property so a future "small" change (an
 // interface box, a closure capture, a per-event pointer) fails loudly
 // rather than silently regressing every benchmark.
 
-// TestDispatchPathZeroAlloc covers the coalescing fast path: a lone
-// process advancing its clock must be allocation-free.
+// TestDispatchPathZeroAlloc covers a lone process advancing its clock:
+// each Hold pushes a wake that is the next event, and must be
+// allocation-free.
 func TestDispatchPathZeroAlloc(t *testing.T) {
 	k := NewKernel()
 	var avg float64
@@ -25,13 +26,13 @@ func TestDispatchPathZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	if avg != 0 {
-		t.Fatalf("coalesced Hold allocates %.2f/run, want 0", avg)
+		t.Fatalf("lone Hold allocates %.2f/run, want 0", avg)
 	}
 }
 
-// TestSlowPathZeroAllocSteadyState covers the full park → heap → resume
-// cycle: a timer callback inside every hold window forces the slow
-// path (the heap is never empty at the hold), yet after warm-up — heap
+// TestSlowPathZeroAllocSteadyState covers a park that dispatches other
+// work first: a timer callback inside every hold window runs before the
+// wake (the heap is never empty at the hold), yet after warm-up — heap
 // capacity grown — the steady state must be allocation-free.
 func TestSlowPathZeroAllocSteadyState(t *testing.T) {
 	k := NewKernel()
@@ -50,7 +51,7 @@ func TestSlowPathZeroAllocSteadyState(t *testing.T) {
 		t.Fatal(err)
 	}
 	if avg != 0 {
-		t.Fatalf("slow-path Hold allocates %.2f/run, want 0", avg)
+		t.Fatalf("Hold past a timer allocates %.2f/run, want 0", avg)
 	}
 }
 

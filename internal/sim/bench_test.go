@@ -3,10 +3,10 @@ package sim
 import "testing"
 
 // BenchmarkKernel_HoldLoop measures the hot dispatch path of the
-// simulator: a single process repeatedly advancing its clock. With no
-// competing event in the hold window this is exactly the case the
-// hold-coalescing fast path serves, so the benchmark bounds the cost of
-// charging one model operation.
+// simulator: a single process repeatedly advancing its clock. Its wake
+// is always the next event, so each Hold is one heap push and pop and
+// park returns in place without a coroutine switch; the benchmark
+// bounds the cost of charging one model operation.
 func BenchmarkKernel_HoldLoop(b *testing.B) {
 	k := NewKernel()
 	k.Spawn("spin", func(p *Proc) {
@@ -23,8 +23,7 @@ func BenchmarkKernel_HoldLoop(b *testing.B) {
 // BenchmarkKernel_PingPong measures the full park → heap → resume
 // round-trip: two processes alternating through semaphores, so every
 // round costs two wake events and two handoffs, each a yield to Run's
-// trampoline and a resume of the other coroutine. This is the path the
-// coalescing fast path cannot elide.
+// trampoline and a resume of the other coroutine.
 func BenchmarkKernel_PingPong(b *testing.B) {
 	k := NewKernel()
 	sa := NewSemaphore(k, 0)
@@ -68,8 +67,8 @@ func BenchmarkKernel_Spawn(b *testing.B) {
 }
 
 // BenchmarkKernel_TimerDrain measures kernel-context callbacks: schedule
-// a timer, hold past it, repeat — the slow dispatch path with a non-empty
-// heap on every hold.
+// a timer, hold past it, repeat — every hold's park dispatches a
+// callback before its own wake.
 func BenchmarkKernel_TimerDrain(b *testing.B) {
 	k := NewKernel()
 	k.Spawn("p", func(p *Proc) {

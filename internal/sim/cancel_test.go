@@ -468,16 +468,14 @@ func TestWaitTimeoutZero(t *testing.T) {
 	}
 }
 
-// buildKillProgram extends the fast-path generator shape with a
-// controller that kills random processes at random times, mixed with
-// semaphore traffic so kills land on waiting, held and running procs
-// alike. Error outcomes (a kill can strand a semaphore's permits and
-// deadlock the rest) are part of the trace and must be deterministic
-// and fast/slow-path identical too.
-func buildKillProgram(seed int64, disableFastPath bool) []string {
+// buildKillProgram extends the hold generator shape with a controller
+// that kills random processes at random times, mixed with semaphore
+// traffic so kills land on waiting, held and running procs alike. Error
+// outcomes (a kill can strand a semaphore's permits and deadlock the
+// rest) are part of the trace and must be deterministic too.
+func buildKillProgram(seed int64) []string {
 	rng := rand.New(rand.NewSource(seed))
 	k := NewKernel()
-	k.DisableFastPath = disableFastPath
 	k.MaxEvents = 200_000
 	var trace []string
 	logf := func(format string, args ...any) {
@@ -524,22 +522,13 @@ func buildKillProgram(seed int64, disableFastPath bool) []string {
 	return trace
 }
 
-// TestKillFastPathEquivalence: mixing kills with hold-coalescing must
-// not change a single observable — the fast path may only elide
-// machinery, even when procs are being torn out from under it.
+// TestKillFastPathEquivalence runs the kill generator twice per seed
+// and requires identical, non-empty traces: kills that tear procs out
+// mid-hold, mid-wait and before their start unwind in the same order on
+// every run.
 func TestKillFastPathEquivalence(t *testing.T) {
 	f := func(seed int64) bool {
-		fast := buildKillProgram(seed, false)
-		slow := buildKillProgram(seed, true)
-		if len(fast) != len(slow) {
-			return false
-		}
-		for i := range fast {
-			if fast[i] != slow[i] {
-				return false
-			}
-		}
-		return len(fast) > 0
+		return sameTrace(buildKillProgram(seed), buildKillProgram(seed))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Fatal(err)
@@ -547,43 +536,47 @@ func TestKillFastPathEquivalence(t *testing.T) {
 }
 
 // TestInterruptStopsRunningKernel exercises the cross-goroutine abort:
-// a compute-bound simulation (pure Hold loop, the coalescing fast
-// path) must stop at the next event boundary after Interrupt, unwind
-// every parked process, and report ErrInterrupted.
+// a compute-bound simulation (pure Hold loop) must stop at the next
+// event boundary after Interrupt, unwind every parked process, and
+// report ErrInterrupted. A lone spinner owns the clock, so its park
+// returns in place on every hold and never switches coroutines; it
+// must still be stopped.
 func TestInterruptStopsRunningKernel(t *testing.T) {
-	base := runtime.NumGoroutine()
-	k := NewKernel()
-	defersRan := 0
-	for i := 0; i < 4; i++ {
-		k.Spawn(fmt.Sprintf("spin%d", i), func(p *Proc) {
-			defer func() { defersRan++ }()
-			for {
-				p.Hold(1)
-			}
-		})
+	for _, spinners := range []int{1, 4} {
+		base := runtime.NumGoroutine()
+		k := NewKernel()
+		defersRan := 0
+		for i := 0; i < spinners; i++ {
+			k.Spawn(fmt.Sprintf("spin%d", i), func(p *Proc) {
+				defer func() { defersRan++ }()
+				for {
+					p.Hold(1)
+				}
+			})
+		}
+		go func() {
+			time.Sleep(5 * time.Millisecond)
+			k.Interrupt("host deadline")
+		}()
+		err := k.Run()
+		var ie *ErrInterrupted
+		if !errors.As(err, &ie) {
+			t.Fatalf("%d spinners: Run() = %v, want ErrInterrupted", spinners, err)
+		}
+		if ie.Reason != "host deadline" {
+			t.Errorf("%d spinners: reason = %q", spinners, ie.Reason)
+		}
+		if ie.At != k.Now() {
+			t.Errorf("%d spinners: interrupt at t=%d, kernel now t=%d", spinners, ie.At, k.Now())
+		}
+		if defersRan != spinners {
+			t.Errorf("%d deferred funcs ran, want %d (all procs unwound)", defersRan, spinners)
+		}
+		if err := k.Run(); !errors.Is(err, ErrStopped) {
+			t.Errorf("%d spinners: re-Run after interrupt = %v, want ErrStopped", spinners, err)
+		}
+		waitGoroutines(t, base)
 	}
-	go func() {
-		time.Sleep(5 * time.Millisecond)
-		k.Interrupt("host deadline")
-	}()
-	err := k.Run()
-	var ie *ErrInterrupted
-	if !errors.As(err, &ie) {
-		t.Fatalf("Run() = %v, want ErrInterrupted", err)
-	}
-	if ie.Reason != "host deadline" {
-		t.Errorf("reason = %q", ie.Reason)
-	}
-	if ie.At != k.Now() {
-		t.Errorf("interrupt at t=%d, kernel now t=%d", ie.At, k.Now())
-	}
-	if defersRan != 4 {
-		t.Errorf("%d deferred funcs ran, want 4 (all procs unwound)", defersRan)
-	}
-	if err := k.Run(); !errors.Is(err, ErrStopped) {
-		t.Errorf("re-Run after interrupt = %v, want ErrStopped", err)
-	}
-	waitGoroutines(t, base)
 }
 
 // TestInterruptBeforeRun pins the never-started case: the flag is

@@ -18,10 +18,6 @@ const shrinkMinCap = 1024
 
 func (h *eventHeap) Len() int { return len(h.ev) }
 
-// min returns the earliest event without removing it. Callers must check
-// Len() > 0 first.
-func (h *eventHeap) min() *event { return &h.ev[0] }
-
 func (h *eventHeap) less(i, j int) bool {
 	a, b := &h.ev[i], &h.ev[j]
 	if a.at != b.at {

@@ -102,9 +102,7 @@ type Kernel struct {
 	poisoned bool
 
 	// MaxEvents bounds the number of dispatched events; 0 means no
-	// bound. Exceeding it makes Run return ErrEventLimit. Coalesced
-	// holds (see Proc.Hold) count as dispatches, so the bound is
-	// independent of whether the fast path fires.
+	// bound. Exceeding it makes Run return ErrEventLimit.
 	MaxEvents  int64
 	dispatched int64
 
@@ -112,12 +110,6 @@ type Kernel struct {
 	// event boundary (see Interrupt). It is the kernel's only state a
 	// goroutine outside the run may touch, hence the atomic.
 	interrupt atomic.Pointer[ErrInterrupted]
-
-	// DisableFastPath turns off the hold-coalescing fast path so every
-	// Hold takes the park → heap → resume slow path. The two modes are
-	// observationally equivalent; the flag exists so tests can assert
-	// exactly that (see fuzz_test.go).
-	DisableFastPath bool
 }
 
 // NewKernel returns an empty simulator positioned at time 0.
@@ -172,24 +164,6 @@ func (k *Kernel) push(at Time, kind eventKind, p *Proc, fn func()) {
 	}
 	k.seq++
 	k.events.push(event{at: at, seq: k.seq, kind: kind, proc: p, fn: fn})
-}
-
-// canCoalesce reports whether the running process may advance the clock
-// by d ticks without parking: nothing else is scheduled at or before
-// now+d (so no other event could dispatch first, and a same-time tie —
-// which FIFO order says the freshly pushed wake would lose — cannot
-// exist), and the dispatch budget has headroom to count the skipped
-// event. This is also exported through Proc.CanCoalesce so higher layers
-// can batch cost charging only when it is provably order-preserving.
-func (k *Kernel) canCoalesce(d Time) bool {
-	return k.running &&
-		!k.DisableFastPath &&
-		(k.events.Len() == 0 || k.events.min().at > k.now+d) &&
-		(k.MaxEvents <= 0 || k.dispatched < k.MaxEvents) &&
-		// A pending interrupt must force the slow path: a compute-bound
-		// proc coalescing holds never re-enters dispatch, and dispatch
-		// is where the interrupt is honoured.
-		k.interrupt.Load() == nil
 }
 
 // Spawn creates a new process named name running fn and schedules its
@@ -459,8 +433,8 @@ func (k *Kernel) blockedNames() []string {
 	return names
 }
 
-// Dispatched returns the number of events dispatched so far (coalesced
-// holds included).
+// Dispatched returns the number of events dispatched so far; every
+// Hold is one.
 func (k *Kernel) Dispatched() int64 { return k.dispatched }
 
 // Seq returns the event sequence counter — the total number of events

@@ -215,16 +215,9 @@ func (p *Proc) run() (next *Proc) {
 
 // Hold advances the process's local time by d ticks: it schedules a wake
 // at now+d and blocks until dispatched. Hold(0) yields to same-time
-// events already queued.
-//
-// Coalescing fast path: when no other event is scheduled at or before
-// now+d, the wake this Hold would push is guaranteed to be the next
-// dispatch, so the park → heap → resume round-trip is skipped and the
-// clock advanced in place. Dispatch order is unchanged — the skipped
-// wake had no competitor in the window, and a same-time competitor at
-// exactly now+d forces the slow path (FIFO order says the fresh wake
-// runs last). The skipped dispatch still counts toward MaxEvents; at
-// the budget's edge the slow path runs so Run reports ErrEventLimit.
+// events already queued. It is the one way a process advances the
+// clock, and every Hold is exactly one dispatched event. When the wake
+// is the next event, park returns in place without a coroutine switch.
 func (p *Proc) Hold(d Time) {
 	if d < 0 {
 		panic("sim: Hold with negative duration")
@@ -233,22 +226,9 @@ func (p *Proc) Hold(d Time) {
 	if p.killed || k.poisoned {
 		panic(errUnwind)
 	}
-	if k.canCoalesce(d) {
-		k.dispatched++
-		k.now += d
-		return
-	}
 	k.push(k.now+d, evWake, p, nil)
 	p.park()
 }
-
-// CanCoalesce reports whether a Hold(d) would take the coalescing fast
-// path — equivalently, whether the process owns the next d ticks
-// outright: no event of any other process, timer or spawn is scheduled
-// at or before now+d, so no simulation state can change in the window.
-// Higher layers use this to batch several cost charges into one Hold
-// only when doing so is provably order- and observation-preserving.
-func (p *Proc) CanCoalesce(d Time) bool { return p.k.canCoalesce(d) }
 
 // park blocks p until its next wake is dispatched. It runs the
 // dispatch loop itself: when the next runnable process is p (every

@@ -9,54 +9,42 @@ import (
 	"testing/quick"
 )
 
-// newSteppedKernel returns a kernel with the hold fast path off, so
-// every Hold parks and is stepped through the event heap. The TestStep*
-// cases pin the process contracts on that path — holds, joins, barrier
-// release, defers, kills and teardown — each from an angle its fast-path
-// twin leaves open.
-func newSteppedKernel() *Kernel {
-	k := NewKernel()
-	k.DisableFastPath = true
-	return k
-}
+// The TestStep* cases pin the process contracts of the kernel, where
+// every Hold parks and is stepped through the event heap — holds,
+// joins, barrier release, defers, kills and teardown.
 
 // TestStepHoldAndChain: a chain of holds — the first contested by a
-// pending timer, the second uncontested — lands at the same times on
-// the stepped kernel as on the default one. Only the default kernel
-// coalesces, and only the uncontested hold.
+// pending timer, the second uncontested — lands at the right times,
+// and every Hold is exactly one dispatched event: the run dispatches
+// the start, the timer and two wakes. MaxEvents, the checkpoint kill
+// points and the benchmark's event counts rely on that.
 func TestStepHoldAndChain(t *testing.T) {
-	for _, stepped := range []bool{false, true} {
-		k := NewKernel()
-		k.DisableFastPath = stepped
-		k.Schedule(5, func() {}) // competitor: the first hold must park
-		var at []Time
-		var coalesced []bool
-		k.Spawn("s", func(p *Proc) {
-			for _, d := range []Time{10, 7} {
-				at = append(at, p.Now())
-				coalesced = append(coalesced, p.CanCoalesce(d))
-				p.Hold(d)
-			}
+	k := NewKernel()
+	k.Schedule(5, func() {}) // competitor inside the first hold
+	var at []Time
+	k.Spawn("s", func(p *Proc) {
+		for _, d := range []Time{10, 7} {
 			at = append(at, p.Now())
-		})
-		if err := k.Run(); err != nil {
-			t.Fatal(err)
+			p.Hold(d)
 		}
-		if got, want := fmt.Sprint(at), "[0 10 17]"; got != want {
-			t.Fatalf("stepped=%v: times = %s, want %s", stepped, got, want)
-		}
-		if got, want := fmt.Sprint(coalesced), fmt.Sprint([]bool{false, !stepped}); got != want {
-			t.Fatalf("stepped=%v: coalesced = %s, want %s", stepped, got, want)
-		}
+		at = append(at, p.Now())
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fmt.Sprint(at), "[0 10 17]"; got != want {
+		t.Fatalf("times = %s, want %s", got, want)
+	}
+	if got := k.Dispatched(); got != 4 {
+		t.Fatalf("dispatched %d events, want 4 (start, timer, two wakes)", got)
 	}
 }
 
-// TestStepJoin covers both join flavours on the stepped kernel: a live
-// target parks the joiner until it retires, at the target's finish
-// time; a done target returns at once, without advancing the clock or
-// dispatching an event.
+// TestStepJoin covers both join flavours: a live target parks the
+// joiner until it retires, at the target's finish time; a done target
+// returns at once, without advancing the clock or dispatching an event.
 func TestStepJoin(t *testing.T) {
-	k := newSteppedKernel()
+	k := NewKernel()
 	var joinedLive, joinedDone Time = -1, -1
 	extra := int64(-1)
 	child := k.Spawn("child", func(p *Proc) { p.Hold(4) })
@@ -78,42 +66,38 @@ func TestStepJoin(t *testing.T) {
 
 // TestStepMidActivationPark: a body may park on a semaphore part-way
 // through and then hold. The waiter resumes at the release time, ahead
-// of the releaser's next hold, and the interleaving is the same with
-// the fast path on and off.
+// of the releaser's next hold.
 func TestStepMidActivationPark(t *testing.T) {
-	for _, stepped := range []bool{false, true} {
-		k := NewKernel()
-		k.DisableFastPath = stepped
-		sem := NewSemaphore(k, 0)
-		var order []string
-		k.Spawn("g", func(p *Proc) {
-			p.Hold(3)
-			order = append(order, fmt.Sprintf("g release at %d", p.Now()))
-			sem.Release()
-			p.Hold(1)
-			order = append(order, fmt.Sprintf("g held at %d", p.Now()))
-		})
-		k.Spawn("s", func(p *Proc) {
-			sem.Acquire(p) // parks part-way through the body until t=3
-			order = append(order, fmt.Sprintf("s acquired at %d", p.Now()))
-			p.Hold(2)
-			order = append(order, fmt.Sprintf("s held at %d", p.Now()))
-		})
-		if err := k.Run(); err != nil {
-			t.Fatal(err)
-		}
-		want := "[g release at 3 s acquired at 3 g held at 4 s held at 5]"
-		if got := fmt.Sprint(order); got != want {
-			t.Fatalf("stepped=%v: order = %s, want %s", stepped, got, want)
-		}
+	k := NewKernel()
+	sem := NewSemaphore(k, 0)
+	var order []string
+	k.Spawn("g", func(p *Proc) {
+		p.Hold(3)
+		order = append(order, fmt.Sprintf("g release at %d", p.Now()))
+		sem.Release()
+		p.Hold(1)
+		order = append(order, fmt.Sprintf("g held at %d", p.Now()))
+	})
+	k.Spawn("s", func(p *Proc) {
+		sem.Acquire(p) // parks part-way through the body until t=3
+		order = append(order, fmt.Sprintf("s acquired at %d", p.Now()))
+		p.Hold(2)
+		order = append(order, fmt.Sprintf("s held at %d", p.Now()))
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := "[g release at 3 s acquired at 3 g held at 4 s held at 5]"
+	if got := fmt.Sprint(order); got != want {
+		t.Fatalf("order = %s, want %s", got, want)
 	}
 }
 
-// TestStepBarrierAwait: on the stepped kernel the last arriver trips
+// TestStepBarrierAwait: the last arriver trips
 // the barrier and continues first; the parked parties then resume at
 // the trip time in arrival order.
 func TestStepBarrierAwait(t *testing.T) {
-	k := newSteppedKernel()
+	k := NewKernel()
 	bar := NewBarrier(k, 3)
 	var events []string
 	party := func(name string, arrive Time) {
@@ -138,11 +122,11 @@ func TestStepBarrierAwait(t *testing.T) {
 	}
 }
 
-// TestStepDefer: on the stepped kernel a body's defer runs exactly once
+// TestStepDefer: a body's defer runs exactly once
 // at retirement — after the body's last statement, at the finish time,
 // with Killed unset — and before the joiner resumes.
 func TestStepDefer(t *testing.T) {
-	k := newSteppedKernel()
+	k := NewKernel()
 	var order []string
 	c := k.Spawn("c", func(p *Proc) {
 		defer func() { order = append(order, fmt.Sprintf("defer at %d killed=%v", p.Now(), p.Killed())) }()
@@ -167,7 +151,7 @@ func TestStepDefer(t *testing.T) {
 // the kill time. The dead waiter stays enrolled until the queue is next
 // signalled, which discards it instead of waking it.
 func TestStepKillWaiting(t *testing.T) {
-	k := newSteppedKernel()
+	k := NewKernel()
 	q := &WaitQueue{}
 	sawKilled := false
 	victim := k.Spawn("victim", func(p *Proc) {
@@ -205,7 +189,7 @@ func TestStepKillWaiting(t *testing.T) {
 // before its first activation never runs; its pending start retires it
 // at the spawn time, releasing the parent's join there.
 func TestStepKillNew(t *testing.T) {
-	k := newSteppedKernel()
+	k := NewKernel()
 	ran := false
 	joined := Time(-1)
 	var victim *Proc
@@ -230,11 +214,11 @@ func TestStepKillNew(t *testing.T) {
 	}
 }
 
-// TestStepKillSelf: a self-kill after a stepped hold unwinds the
+// TestStepKillSelf: a self-kill after a hold unwinds the
 // process's own defers with Killed set and releases its joiner at the
 // kill time, while the rest of the simulation runs on.
 func TestStepKillSelf(t *testing.T) {
-	k := newSteppedKernel()
+	k := NewKernel()
 	sawKilled := false
 	suicidal := k.Spawn("suicidal", func(p *Proc) {
 		defer func() { sawKilled = p.Killed() }()
@@ -262,7 +246,7 @@ func TestStepKillSelf(t *testing.T) {
 // not a kill), the live list empties and no goroutine leaks.
 func TestStepDeadlockTeardown(t *testing.T) {
 	base := runtime.NumGoroutine()
-	k := newSteppedKernel()
+	k := NewKernel()
 	q := &WaitQueue{}
 	bar := NewBarrier(k, 3) // two arrivals: never trips
 	sem := NewSemaphore(k, 0)
@@ -298,7 +282,7 @@ func TestStepDeadlockTeardown(t *testing.T) {
 // and no goroutine leaks.
 func TestStepPanicTeardown(t *testing.T) {
 	base := runtime.NumGoroutine()
-	k := newSteppedKernel()
+	k := NewKernel()
 	sem := NewSemaphore(k, 0)
 	unwound := 0
 	held := k.Spawn("held", func(p *Proc) {
@@ -332,7 +316,7 @@ func TestStepPanicTeardown(t *testing.T) {
 // one that finished in the first without blocking — and a Run with
 // nothing spawned completes at once.
 func TestStepRunAfterSuccess(t *testing.T) {
-	k := newSteppedKernel()
+	k := NewKernel()
 	a := k.Spawn("a", func(p *Proc) { p.Hold(5) })
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -355,7 +339,7 @@ func TestStepRunAfterSuccess(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------------
-// Stepped-vs-fast observational equivalence over joins and barriers.
+// Run-to-run equivalence over joins and barriers.
 // TestFastPathObservationalEquivalence covers holds, timers and yields;
 // this generator adds child spawns with joins and lockstep barrier
 // rounds, the primitives whose wakes come from other processes.
@@ -400,10 +384,9 @@ func genEquivProgram(seed int64) (nProcs int, prog [][]equivOp) {
 	return nProcs, prog
 }
 
-func buildEquivProgram(seed int64, disableFastPath bool) []string {
+func buildEquivProgram(seed int64) []string {
 	nProcs, prog := genEquivProgram(seed)
 	k := NewKernel()
-	k.DisableFastPath = disableFastPath
 	k.MaxEvents = 200_000
 	var trace []string
 	logf := func(format string, args ...any) {
@@ -440,22 +423,12 @@ func buildEquivProgram(seed int64, disableFastPath bool) []string {
 	return trace
 }
 
-// TestStepObservationalEquivalence: stepping every hold through the
-// event heap may only add machinery, never reorder or retime a join or
-// a barrier release.
+// TestStepObservationalEquivalence runs the join-and-barrier generator
+// twice per seed and requires identical, non-empty traces: no join or
+// barrier release is reordered or retimed from one run to the next.
 func TestStepObservationalEquivalence(t *testing.T) {
 	f := func(seed int64) bool {
-		fast := buildEquivProgram(seed, false)
-		slow := buildEquivProgram(seed, true)
-		if len(fast) != len(slow) {
-			return false
-		}
-		for i := range fast {
-			if fast[i] != slow[i] {
-				return false
-			}
-		}
-		return len(fast) > 0
+		return sameTrace(buildEquivProgram(seed), buildEquivProgram(seed))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Fatal(err)
