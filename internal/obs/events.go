@@ -28,10 +28,11 @@ const (
 	EvProfile = "profile"
 )
 
-// Event is one streamed telemetry occurrence. Seq is assigned by the
-// emitting tracer and increases monotonically, so consumers can detect
-// ordering and resume. All times are virtual ticks: an event stream is
-// as deterministic as the simulation that produced it.
+// Event is one streamed telemetry occurrence. The tracer leaves Seq
+// zero; the sink numbers each event by its place in the log it keeps
+// (stampserve's run log numbers them gaplessly from 1), so consumers
+// can detect ordering and resume. All times are virtual ticks: an event
+// stream is as deterministic as the simulation that produced it.
 type Event struct {
 	Seq    int64    `json:"seq"`
 	At     sim.Time `json:"at"`
@@ -64,14 +65,11 @@ func (t *Tracer) StreamTo(sink func(Event)) {
 // this, so a non-streaming tracer pays nothing extra.
 func (t *Tracer) Streaming() bool { return t != nil && t.sink != nil }
 
-// Emit assigns ev the tracer's next sequence number and hands it to the
-// attached sink on the calling goroutine. No-op when no sink is
-// attached (or on a nil tracer).
+// Emit hands ev to the attached sink on the calling goroutine. No-op
+// when no sink is attached (or on a nil tracer).
 func (t *Tracer) Emit(ev Event) {
 	if t == nil || t.sink == nil {
 		return
 	}
-	t.seq++
-	ev.Seq = t.seq
 	t.sink(ev)
 }

@@ -16,11 +16,6 @@ func NewObserver() *Observer {
 	return &Observer{Reg: NewRegistry(), Trace: NewTracer(), Prof: NewProfiler()}
 }
 
-// Enabled reports whether any sink is attached.
-func (o *Observer) Enabled() bool {
-	return o != nil && (o.Reg != nil || o.Trace != nil || o.Prof != nil)
-}
-
 // Registry returns the metrics registry (nil when absent); safe on a
 // nil Observer.
 func (o *Observer) Registry() *Registry {

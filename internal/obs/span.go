@@ -53,7 +53,6 @@ func (s Span) T() sim.Time { return s.End - s.Start }
 type Tracer struct {
 	spans []Span
 	sink  func(Event)
-	seq   int64
 }
 
 // NewTracer returns an empty enabled span tracer.

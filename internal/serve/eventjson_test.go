@@ -21,7 +21,9 @@ func encoderEvents(t testing.TB) []obs.Event {
 		t.Fatal(err)
 	}
 	var evs []obs.Event
-	execute(norm, func(ev obs.Event) { evs = append(evs, ev) })
+	ob := obs.NewObserver()
+	ob.Trace.StreamTo(func(ev obs.Event) { evs = append(evs, ev) })
+	Execute(norm, ob, nil)
 	if len(evs) == 0 {
 		t.Fatal("the jacobi run streamed no events")
 	}

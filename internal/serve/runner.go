@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -88,53 +87,47 @@ type Result struct {
 	Events  EventTotals      `json:"events"`
 
 	// App extras.
-	Iters    int      `json:"iters,omitempty"`    // jacobi iterations run
-	Residual float64  `json:"residual,omitempty"` // jacobi final residual
-	Epochs   int      `json:"epochs,omitempty"`   // apsp epochs
-	Correct  *bool    `json:"correct,omitempty"`  // apsp vs Floyd–Warshall
-	Faults   []string `json:"faults_killed,omitempty"`
+	Iters         int            `json:"iters,omitempty"`          // jacobi iterations run
+	Residual      float64        `json:"residual,omitempty"`       // jacobi final residual
+	Epochs        int            `json:"epochs,omitempty"`         // apsp epochs
+	TotalRounds   int            `json:"total_rounds,omitempty"`   // apsp update rounds, summed over processes
+	Correct       *bool          `json:"correct,omitempty"`        // apsp vs Floyd–Warshall
+	Succeeded     int            `json:"succeeded,omitempty"`      // bank transfers committed
+	Declined      int            `json:"declined,omitempty"`       // bank transfers declined for funds
+	AbortRate     float64        `json:"abort_rate,omitempty"`     // bank STM aborts over attempts
+	Throughput    float64        `json:"throughput,omitempty"`     // bank transfers per 1000 ticks
+	Outcomes      map[string]int `json:"outcomes,omitempty"`       // airline reservations by verdict name
+	LegsCommitted int64          `json:"legs_committed,omitempty"` // airline committed leg transactions
+	SuccessRate   float64        `json:"success_rate,omitempty"`   // airline complete itineraries over attempts
+	Faults        []string       `json:"faults_killed,omitempty"`
 
 	// Experiment extras.
 	Checks []CheckRow `json:"checks,omitempty"`
 	Passed *bool      `json:"passed,omitempty"`
-	Table  string     `json:"table,omitempty"`
+	Table  string     `json:"table,omitempty"` // also an app group's per-process cost report
 }
 
-// outcome carries a finished run back to the server.
-type outcome struct {
-	res        Result
-	resultJSON []byte // canonical encoding of res
-	runReg     *obs.Registry
-}
-
-// execute runs a normalized spec to completion, handing every
-// simulation event to emit on the simulation's goroutine as it
-// happens. It never returns a nil outcome: kernel errors
-// (fault-induced deadlocks) and panics become a "failed" Result, which
-// is itself deterministic and cacheable.
-func execute(spec Spec, emit func(obs.Event)) *outcome {
-	res := Result{Spec: spec, Hash: spec.Hash(), Status: "done"}
-	var runReg *obs.Registry
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				res.Status = "failed"
-				res.Error = fmt.Sprintf("panic: %v", r)
-			}
-		}()
-		if spec.Kind == "experiment" {
-			runExperiment(spec, &res)
-		} else {
-			runReg = runApp(spec, &res, emit)
+// Execute runs a normalized spec to completion; stampserve's workers
+// and stampsim both run scenarios through it. The run fills the sinks
+// of ob that are set (drift gauges and collected metrics, spans,
+// profile). ck is the caller's checkpoint controller for a spec with
+// Ckpt set; with nil, the run checkpoints into a temporary directory.
+// Kernel errors (fault-induced deadlocks) and panics become a "failed"
+// Result, which is itself deterministic and cacheable.
+func Execute(spec Spec, ob *obs.Observer, ck *ckpt.Controller) (res Result) {
+	res = Result{Spec: spec, Hash: spec.Hash(), Status: "done"}
+	defer func() {
+		if r := recover(); r != nil {
+			res.Status = "failed"
+			res.Error = fmt.Sprintf("panic: %v", r)
 		}
 	}()
-	out := &outcome{res: res, runReg: runReg}
-	b, err := json.Marshal(res)
-	if err != nil {
-		b = []byte(fmt.Sprintf(`{"hash":%q,"status":"failed","error":"result encoding: %v"}`, spec.Hash(), err))
+	if spec.Kind == "experiment" {
+		runExperiment(spec, &res)
+	} else {
+		runApp(spec, ob, ck, &res)
 	}
-	out.resultJSON = b
-	return out
+	return res
 }
 
 // runExperiment executes a reproduction-harness experiment. These
@@ -155,19 +148,9 @@ func runExperiment(spec Spec, res *Result) {
 	res.Table = r.Table
 }
 
-// runApp executes an app scenario with a full Observer attached:
-// registry (drift + collected metrics), streaming tracer, profiler.
-// Returns the per-run registry for /runs/{id}/metrics.
-func runApp(spec Spec, res *Result, emit func(obs.Event)) *obs.Registry {
-	cfg, err := machine.Preset(spec.Machine)
-	if err != nil {
-		res.Status = "failed"
-		res.Error = err.Error()
-		return nil
-	}
-	ob := &obs.Observer{Reg: obs.NewRegistry(), Trace: obs.NewTracer(), Prof: obs.NewProfiler()}
-	ob.Trace.StreamTo(emit)
-
+// runApp executes an app scenario with ob attached.
+func runApp(spec Spec, ob *obs.Observer, ck *ckpt.Controller, res *Result) {
+	cfg, _ := machine.Preset(spec.Machine) // Normalize has checked it
 	opts := []core.Option{core.WithObs(ob)}
 	if spec.Manager != "" { // only the STM apps name one; Normalize has checked it
 		mgr, _ := stm.ManagerByName(spec.Manager)
@@ -197,7 +180,7 @@ func runApp(spec Spec, res *Result, emit func(obs.Event)) *obs.Registry {
 	var grp *core.Group
 	switch spec.App {
 	case "jacobi":
-		grp = runJacobi(spec, sys, ob, res)
+		grp = runJacobi(spec, sys, ob, ck, res)
 	case "apsp":
 		grp = runAPSP(spec, sys, ob, res)
 	case "bank":
@@ -205,18 +188,25 @@ func runApp(spec Spec, res *Result, emit func(obs.Event)) *obs.Registry {
 		r, err := bank.Run(sys, wl, spec.Procs, nil)
 		if err != nil {
 			setFailed(res, err)
-		} else {
-			grp = r.Group
+			break
 		}
+		grp = r.Group
+		res.Succeeded, res.Declined = r.Succeeded, r.Declined
+		res.AbortRate, res.Throughput = r.TM.AbortRate(), r.Throughput()
 	case "airline":
 		wl := workload.NewAirline(spec.N, 4, 10*spec.Procs, spec.Seed)
 		pol, _ := airline.PolicyByName(spec.Policy) // Normalize has checked it
 		r, err := airline.Run(sys, wl, spec.Procs, pol)
 		if err != nil {
 			setFailed(res, err)
-		} else {
-			grp = r.Group
+			break
 		}
+		grp = r.Group
+		res.Outcomes = make(map[string]int, len(r.Outcomes))
+		for v, n := range r.Outcomes {
+			res.Outcomes[v.String()] = n
+		}
+		res.LegsCommitted, res.SuccessRate = r.LegsCommitted, r.SuccessRate()
 	}
 
 	if plan != nil {
@@ -226,10 +216,10 @@ func runApp(spec Spec, res *Result, emit func(obs.Event)) *obs.Registry {
 		rep := grp.Report()
 		en := rep.Energy()
 		res.Metrics = &ModelMetrics{T: rep.T(), E: en.E, P: en.Power(), EDP: en.EDP()}
+		res.Table = rep.Table()
 	}
 	res.Profile = profileMap(ob.Profiler())
 	sys.CollectMetrics()
-	return ob.Registry()
 }
 
 // recordDrift publishes one predicted-vs-measured pair both into the
@@ -251,10 +241,9 @@ func setFailed(res *Result, err error) {
 	res.Error = err.Error()
 }
 
-func runJacobi(spec Spec, sys *core.System, ob *obs.Observer, res *Result) *core.Group {
+func runJacobi(spec Spec, sys *core.System, ob *obs.Observer, ck *ckpt.Controller, res *Result) *core.Group {
 	ls := workload.NewLinearSystem(spec.N, spec.Seed)
-	var ck *ckpt.Controller
-	if spec.Ckpt != nil {
+	if spec.Ckpt != nil && ck == nil {
 		dir, err := os.MkdirTemp("", "stampserve-ckpt-*")
 		if err != nil {
 			setFailed(res, err)
@@ -294,12 +283,12 @@ func runAPSP(spec Spec, sys *core.System, ob *obs.Observer, res *Result) *core.G
 		setFailed(res, err)
 		return nil
 	}
-	res.Epochs = r.Epochs
+	res.Epochs, res.TotalRounds = r.Epochs, r.TotalRounds()
 	ok := apsp.Equal(r.Dist, apsp.FloydWarshall(g))
 	res.Correct = &ok
 
 	// Round-time drift against the cost model with the measured κ
-	// (queue wait) substituted, as in stampsim and the §4 analysis.
+	// (queue wait) substituted, as in the §4 analysis.
 	if model, mt, me, ok := apsp.Model(r.Group); ok {
 		recordDrift(ob, res, "apsp", "T_sround", model.TSRoundEffective(), mt)
 		recordDrift(ob, res, "apsp", "E_sround_upper", model.ESRoundUpper(), me)

@@ -158,6 +158,111 @@ func TestSpecNormalizeAndHash(t *testing.T) {
 	}
 }
 
+// TestNormalizeDefaults pins the defaults stampsim's flags rely on:
+// bank and airline run 8 processes, and jacobi with iters unset runs to
+// convergence.
+func TestNormalizeDefaults(t *testing.T) {
+	for _, app := range []string{"bank", "airline"} {
+		s, err := Spec{App: app}.Normalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Procs != 8 {
+			t.Errorf("%s normalizes to procs %d, want 8", app, s.Procs)
+		}
+	}
+	s, err := Spec{App: "jacobi"}.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Iters != 0 {
+		t.Errorf("jacobi normalizes to iters %d, want 0 (to convergence)", s.Iters)
+	}
+}
+
+// TestNormalizeCopiesCkpt: Normalize defaults the checkpoint cadence
+// on its own copy and leaves the caller's CkptSpec alone.
+func TestNormalizeCopiesCkpt(t *testing.T) {
+	in := Spec{App: "jacobi", Iters: 4, Ckpt: &CkptSpec{}}
+	out, err := in.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if in.Ckpt.Every != 0 {
+		t.Errorf("Normalize set the input's Ckpt.Every to %d", in.Ckpt.Every)
+	}
+	if out.Ckpt == in.Ckpt {
+		t.Error("Normalize returned the input's Ckpt pointer")
+	}
+	if out.Ckpt.Every != 2 {
+		t.Errorf("normalized Ckpt.Every = %d, want 2", out.Ckpt.Every)
+	}
+}
+
+// TestAppDefaultsOverHTTP submits specs that rely on the defaults: an
+// unset jacobi iters runs to convergence, and a checkpoint without one
+// is refused with a 400 naming iters.
+func TestAppDefaultsOverHTTP(t *testing.T) {
+	_, ts := newTestServer(t, 1)
+	id := postSpec(t, ts.URL, `{"app":"jacobi","n":16}`)["id"].(string)
+	if st := waitDone(t, ts.URL, id); st["state"] != "done" {
+		t.Fatalf("run state %v", st["state"])
+	}
+	var res Result
+	if err := json.Unmarshal(getBody(t, ts.URL+"/runs/"+id+"/result"), &res); err != nil {
+		t.Fatal(err)
+	}
+	if res.Iters != 21 {
+		t.Errorf("jacobi n=16 seed 1 ran %d iterations, want 21 (to convergence)", res.Iters)
+	}
+
+	resp, err := http.Post(ts.URL+"/runs", "application/json", strings.NewReader(`{"app":"jacobi","ckpt":{"every":2}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(b), "iters") {
+		t.Errorf("checkpoint without iters: status %d (%s), want 400 naming iters", resp.StatusCode, b)
+	}
+}
+
+// TestAppResultFields pins the numbers each app's result carries: the
+// values stampsim prints for the same specs, and the group's cost
+// report as the table.
+func TestAppResultFields(t *testing.T) {
+	_, ts := newTestServer(t, 2)
+	for _, c := range []struct {
+		spec  string
+		check func(r Result) bool
+	}{
+		{`{"app":"apsp"}`, func(r Result) bool {
+			return r.Epochs == 3 && r.TotalRounds == 96 && r.Correct != nil && *r.Correct
+		}},
+		{`{"app":"bank"}`, func(r Result) bool {
+			return r.Succeeded == 46 && r.Declined == 18 &&
+				fmt.Sprintf("%.3f %.3f", r.AbortRate, r.Throughput) == "0.855 44.487"
+		}},
+		{`{"app":"airline"}`, func(r Result) bool {
+			return fmt.Sprint(r.Outcomes) == "map[partial:2 success:78]" &&
+				r.LegsCommitted == 238 && fmt.Sprintf("%.3f", r.SuccessRate) == "0.975"
+		}},
+	} {
+		id := postSpec(t, ts.URL, c.spec)["id"].(string)
+		waitDone(t, ts.URL, id)
+		var r Result
+		if err := json.Unmarshal(getBody(t, ts.URL+"/runs/"+id+"/result"), &r); err != nil {
+			t.Fatal(err)
+		}
+		if r.Status != "done" || !c.check(r) {
+			t.Errorf("%s: result %+v", c.spec, r)
+		}
+		if !strings.HasPrefix(r.Table, "group "+r.Spec.App+" [") || !strings.Contains(r.Table, "\n group ") {
+			t.Errorf("%s: table is not the group's cost report:\n%s", c.spec, r.Table)
+		}
+	}
+}
+
 // TestSubmitJacobiStreamsBarrierEvents is the tentpole acceptance
 // check: a small jacobi run must stream one barrier event for every
 // barrier generation, in order, plus profiler category deltas.
@@ -402,11 +507,11 @@ func TestDriftBitIdenticalAcrossWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out := execute(norm, func(obs.Event) {})
-		if len(out.res.Drift) == 0 {
+		res := Execute(norm, obs.NewObserver(), nil)
+		if len(res.Drift) == 0 {
 			t.Fatalf("scenario %s recorded no drift gauges", sc)
 		}
-		wantDrift = append(wantDrift, out.res.Drift)
+		wantDrift = append(wantDrift, res.Drift)
 	}
 
 	// want holds the full result payloads from the 1-worker pool; the

@@ -71,6 +71,14 @@ type Run struct {
 	outcome *outcome
 }
 
+// outcome is all a finished run keeps: its result's encoding, which the
+// cache serves byte for byte, and its registry (nil for an experiment),
+// but not the Result, the tracer or the profiler.
+type outcome struct {
+	resultJSON []byte
+	runReg     *obs.Registry
+}
+
 // logLine locates one event's line in a run's log.
 type logLine struct {
 	end  int    // offset in the log one past the line's '\n'
@@ -282,8 +290,9 @@ func (s *Server) execute(run *Run) {
 	run.appendEvent(obs.Event{Kind: evRun, Name: "started"})
 	s.logf("run %s: started", run.ID)
 
+	ob := obs.NewObserver()
 	byKind := map[string]obs.Counter{} // each kind's handle, resolved once per run
-	out := execute(run.spec, func(ev obs.Event) {
+	ob.Trace.StreamTo(func(ev obs.Event) {
 		run.appendEvent(ev)
 		c, ok := byKind[ev.Kind]
 		if !ok {
@@ -293,18 +302,23 @@ func (s *Server) execute(run *Run) {
 		}
 		c.Inc()
 	})
+	res := Execute(run.spec, ob, nil)
 	run.mu.Lock()
-	out.res.Events = run.totals
+	res.Events = run.totals
 	run.mu.Unlock()
 
-	// Re-encode with the event totals folded in; the encoding is the
-	// canonical byte payload the cache serves forever after.
-	if b, err := json.Marshal(out.res); err == nil {
-		out.resultJSON = b
+	// Encode once, with the event totals folded in: these bytes are the
+	// payload the cache serves forever after.
+	b, err := json.Marshal(res)
+	if err != nil {
+		b = []byte(fmt.Sprintf(`{"hash":%q,"status":"failed","error":"result encoding: %v"}`, res.Hash, err))
+	}
+	out := &outcome{resultJSON: b}
+	if run.spec.Kind == "app" {
+		out.runReg = ob.Reg
 	}
 
-	status := out.res.Status
-	if status == "timeout" {
+	if res.Status == "timeout" {
 		// A timed-out result depends on host speed, not just the spec:
 		// evict the scenario so a resubmission executes afresh instead
 		// of being served the truncated run.
@@ -314,30 +328,30 @@ func (s *Server) execute(run *Run) {
 		}
 		s.mu.Unlock()
 	}
-	run.appendEvent(obs.Event{Kind: evRun, Name: status, Detail: out.res.Error})
-	run.setState(status, out)
-	s.publishRunMetrics(run, out)
+	run.appendEvent(obs.Event{Kind: evRun, Name: res.Status, Detail: res.Error})
+	run.setState(res.Status, out)
+	s.publishRunMetrics(run, &res)
 	s.reg.Gauge("stampserve_runs_inflight", "Runs queued or executing.").Add(-1)
 	s.reg.Counter("stampserve_runs_completed_total", "Runs finished, by status.",
-		obs.L("status", status)).Inc()
-	s.logf("run %s: %s", run.ID, status)
+		obs.L("status", res.Status)).Inc()
+	s.logf("run %s: %s", run.ID, res.Status)
 }
 
 // publishRunMetrics exports a completed run's model metrics and drift
 // gauges into the server-wide registry.
-func (s *Server) publishRunMetrics(run *Run, out *outcome) {
+func (s *Server) publishRunMetrics(run *Run, res *Result) {
 	app := run.spec.App
 	if run.spec.Kind == "experiment" {
 		app = run.spec.Experiment
 	}
 	ls := []obs.Label{obs.L("run", run.ID), obs.L("app", app)}
-	if m := out.res.Metrics; m != nil {
+	if m := res.Metrics; m != nil {
 		s.reg.Gauge("stampserve_run_t_ticks", "Group execution time T (max over members).", ls...).Set(float64(m.T))
 		s.reg.Gauge("stampserve_run_energy", "Group energy E (sum over members).", ls...).Set(m.E)
 		s.reg.Gauge("stampserve_run_power", "Group mean power P = E/T.", ls...).Set(m.P)
 		s.reg.Gauge("stampserve_run_edp", "Group energy-delay product.", ls...).Set(m.EDP)
 	}
-	for _, d := range out.res.Drift {
+	for _, d := range res.Drift {
 		s.reg.Gauge("stampserve_run_drift_relerr", "Model drift |measured-predicted|/|predicted|.",
 			obs.L("run", run.ID), obs.L("app", d.App), obs.L("metric", d.Metric)).Set(d.RelErr)
 	}

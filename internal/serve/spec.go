@@ -4,6 +4,7 @@
 // bounded worker pool, streams per-run progress events (spans, barrier
 // generations, checkpoint commits, fault firings, profile deltas) and
 // aggregates Prometheus metrics across in-flight and completed runs.
+// Its runner, Execute, is also how stampsim runs a scenario.
 //
 // Scenarios are content-addressed: a spec is normalized to canonical
 // form and hashed, and a resubmission of an identical spec is served
@@ -95,7 +96,7 @@ const (
 	maxIters = 10000
 )
 
-// knownApps lists the app scenarios and their per-app defaults.
+// knownApps lists the app scenarios; normalizeApp holds their defaults.
 var knownApps = map[string]bool{"jacobi": true, "apsp": true, "bank": true, "airline": true}
 
 // Normalize fills defaults, clears fields the selected scenario does
@@ -179,11 +180,8 @@ func (s Spec) normalizeApp() (Spec, error) {
 	// identical scenario, or silently do nothing).
 	switch s.App {
 	case "jacobi":
-		if s.Iters == 0 {
-			s.Iters = 6
-		}
 		if s.Iters < 0 || s.Iters > maxIters {
-			return Spec{}, fmt.Errorf("iters must be in [1, %d], got %d", maxIters, s.Iters)
+			return Spec{}, fmt.Errorf("iters must be in [0, %d] (0 = to convergence), got %d", maxIters, s.Iters)
 		}
 		if err := s.rejectUnused("jacobi", s.Procs != 0, "procs"); err != nil {
 			return Spec{}, err
@@ -192,12 +190,14 @@ func (s Spec) normalizeApp() (Spec, error) {
 			return Spec{}, err
 		}
 		if s.Ckpt != nil {
-			if s.Iters <= 0 {
+			if s.Iters == 0 {
 				return Spec{}, fmt.Errorf("checkpointing requires a fixed iteration count (iters > 0)")
 			}
-			if s.Ckpt.Every <= 0 {
-				s.Ckpt.Every = 2
+			ck := *s.Ckpt
+			if ck.Every <= 0 {
+				ck.Every = 2
 			}
+			s.Ckpt = &ck
 		}
 	case "apsp":
 		if s.Mode == "" {
@@ -214,7 +214,7 @@ func (s Spec) normalizeApp() (Spec, error) {
 		}
 	case "bank", "airline":
 		if s.Procs == 0 {
-			s.Procs = 4
+			s.Procs = 8
 		}
 		if s.Procs < 1 || s.Procs > maxProcs {
 			return Spec{}, fmt.Errorf("procs must be in [1, %d], got %d", maxProcs, s.Procs)

@@ -2,7 +2,8 @@
 # Black-box assertions against a running stampserve instance.
 #
 # Requires STAMPSERVE_URL (e.g. http://127.0.0.1:43817) plus curl and
-# jq. Each check_* function exercises one acceptance property; bats
+# jq, and a stampsim binary in the work directory (run.sh builds it
+# there). Each check_* function exercises one acceptance property; bats
 # wraps them one-per-@test (scripts/e2e/verify.bats), and running this
 # file directly executes them all in order for hosts without bats.
 set -u
@@ -135,10 +136,34 @@ check_sse_matches_ndjson() {
     fail "?from=10 did not return NDJSON lines 11 onward"
 }
 
+# stampsim and stampserve run a scenario through one runner: for one
+# spec per app, stampsim's -metrics-out file must equal the run registry
+# the server serves for the same spec.
+check_stampsim_matches_server() {
+  local sim="$WORKDIR/stampsim" c app args spec id
+  [[ -x "$sim" ]] || fail "no stampsim binary at $sim"
+  for c in \
+    'jacobi|-app jacobi -n 8|{"app":"jacobi","n":8}' \
+    'apsp|-app apsp -n 8 -mode bulksync|{"app":"apsp","n":8,"mode":"bulksync"}' \
+    'bank|-app bank -n 16 -procs 4 -manager karma|{"app":"bank","n":16,"procs":4,"manager":"karma"}' \
+    'airline|-app airline -n 8 -policy strict|{"app":"airline","n":8,"policy":"strict"}'; do
+    IFS='|' read -r app args spec <<<"$c"
+    # shellcheck disable=SC2086 # args is a list of words
+    "$sim" $args -metrics-out "$WORKDIR/stampsim_$app.prom" >/dev/null ||
+      fail "stampsim $args"
+    id=$(post_spec "$spec") || fail "$app submit"
+    wait_done "$id" || return 1
+    get "/runs/$id/metrics" >"$WORKDIR/stampserve_$app.prom" || fail "$app metrics"
+    diff -u "$WORKDIR/stampsim_$app.prom" "$WORKDIR/stampserve_$app.prom" ||
+      fail "$app: stampsim -metrics-out differs from /runs/$id/metrics"
+  done
+}
+
 run_all_checks() {
   local rc=0 c
   for c in check_healthz check_jacobi_barrier_stream check_experiment_scenario \
-    check_metrics_exposition check_cache_byte_identical check_sse_matches_ndjson; do
+    check_metrics_exposition check_cache_byte_identical check_sse_matches_ndjson \
+    check_stampsim_matches_server; do
     # Like bats, stop a check at its first failed assertion: run it under
     # errexit, in a subshell whose status is read only after it exits (a
     # check called as an if condition would run with errexit ignored).

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
-# Boot stampserve on an ephemeral port and run the black-box e2e suite
-# against it. Uses bats when installed (CI installs it), otherwise
-# falls back to executing checks.sh directly — same assertions either
-# way. The server log is kept at $E2E_WORKDIR/stampserve.log so CI can
-# upload it on failure.
+# Build stampsim, boot stampserve on an ephemeral port and run the
+# black-box e2e suite against the server (and stampsim beside it). Uses
+# bats when installed (CI installs it), otherwise falls back to
+# executing checks.sh directly — same assertions either way. The server
+# log is kept at $E2E_WORKDIR/stampserve.log so CI can upload it on
+# failure.
 set -euo pipefail
 
 cd "$(dirname "$0")/../.."
@@ -19,6 +20,7 @@ mkdir -p "$E2E_WORKDIR"
 echo "e2e: workdir $E2E_WORKDIR"
 
 go build -o "$E2E_WORKDIR/stampserve" ./cmd/stampserve
+go build -o "$E2E_WORKDIR/stampsim" ./cmd/stampsim
 
 "$E2E_WORKDIR/stampserve" -addr 127.0.0.1:0 -workers 4 \
   >"$E2E_WORKDIR/stampserve.log" 2>&1 &
