@@ -251,6 +251,21 @@ func BenchmarkEngine_SharedMemoryAccess(b *testing.B) {
 	}
 }
 
+func BenchmarkEngine_SharedMemoryRange(b *testing.B) {
+	sys := stamp.NewSystem(stamp.Niagara())
+	r := stamp.NewRegion[int64](sys, "r", stamp.Inter, 0, 1024)
+	sys.NewGroup("r", stamp.Attrs{Comm: stamp.AsyncComm}, 1, func(ctx *stamp.Ctx) {
+		buf := make([]int64, 1024)
+		for i := 0; i < b.N; i++ {
+			r.ReadRange(ctx, 0, buf)
+		}
+	})
+	b.ResetTimer()
+	if err := sys.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
 func BenchmarkEngine_MessageRoundTrip(b *testing.B) {
 	sys := stamp.NewSystem(stamp.Niagara())
 	attrs := stamp.Attrs{Dist: stamp.IntraProc, Comm: stamp.AsyncComm}

@@ -44,16 +44,19 @@ func runAPSP(w [][]int64, slow []float64) {
 	rounds := make([]int, v)
 	// Async epochs: processes iterate freely until the epoch deadline,
 	// so a fast process fits more rounds in than a handicapped one —
-	// the paper's "faster processors can compute more rounds".
-	const epochLen = stamp.Time(9000)
+	// the paper's "faster processors can compute more rounds". An epoch
+	// is about ten rounds: one round costs 2v² compute ticks plus
+	// ℓ_e + g_sh_e·(v² + v) for reading x and writing x_i, ~424 ticks.
+	const epochLen = stamp.Time(4500)
 	g := sys.NewGroup("apsp", attrs, v, func(ctx *stamp.Ctx) {
 		i := ctx.Index()
 		prev := int64(0)
+		m := make([]int64, v*v) // this process's copy of x
 		oneRound := func() bool {
 			changed := false
 			ctx.SRound(func() {
-				m := x.ReadRange(ctx, 0, v*v) // read x
-				for j := 0; j < v; j++ {      // x_ij = min_k x_ik + x_kj
+				x.ReadRange(ctx, 0, m)   // read x
+				for j := 0; j < v; j++ { // x_ij = min_k x_ik + x_kj
 					best := m[i*v+j]
 					for k := 0; k < v; k++ {
 						if d := m[i*v+k] + m[k*v+j]; d < best {

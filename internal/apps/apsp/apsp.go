@@ -113,11 +113,12 @@ func Run(sys *core.System, cfg Config) (Result, error) {
 	}
 	epochLen := cfg.EpochLen
 	if epochLen == 0 {
-		// Nominal cost of ~1.5 rounds: v reads + v writes at inter
-		// cost (ℓ_e + g_sh_e each) plus 2v² compute ticks.
+		// ~1.5 rounds at the §4 round model's uncontended (κ = 0)
+		// cost: v² reads and v writes at g_sh_e, ℓ_e once, 2v²
+		// compute ticks.
 		c := sys.M.Cfg.Costs
-		perRound := sim.Time(v*v)*(c.EllE+sim.Time(c.GShE)) + sim.Time(2*v*v)
-		epochLen = perRound * 3 / 2
+		perRound := cost.APSP{V: v, EllE: float64(c.EllE), GShE: c.GShE}.TSRoundPaper()
+		epochLen = sim.Time(perRound * 3 / 2)
 	}
 	if len(cfg.SlowFactor) != 0 && len(cfg.SlowFactor) != v {
 		return Result{}, fmt.Errorf("apsp: SlowFactor length %d != V %d", len(cfg.SlowFactor), v)
@@ -147,6 +148,7 @@ func Run(sys *core.System, cfg Config) (Result, error) {
 		if cfg.SlowFactor != nil {
 			slow = cfg.SlowFactor[i]
 		}
+		m := make([]int64, v*v) // this process's copy of x
 		row := make([]int64, v)
 
 		// oneRound reads the matrix, recomputes row i and writes back
@@ -154,9 +156,9 @@ func Run(sys *core.System, cfg Config) (Result, error) {
 		oneRound := func() bool {
 			changed := false
 			ctx.SRound(func() {
-				// read x (the whole matrix, one serialized access per
-				// word, as the paper's "read x" step).
-				m := x.ReadRange(ctx, 0, v*v)
+				// read x (the whole matrix in one access, as the
+				// paper's "read x" step).
+				x.ReadRange(ctx, 0, m)
 				copy(row, m[i*v:(i+1)*v])
 				// forall j: x_ij = min_k { x_ik + x_kj }
 				for j := 0; j < v; j++ {

@@ -65,13 +65,15 @@ func RunShared(sys *core.System, cfg SharedConfig) (Result, error) {
 	body := func(ctx *core.Ctx) {
 		i := ctx.Index()
 		cur, next := bufA, bufB
+		xv := make([]float64, n) // this process's copies of x
+		dv := make([]float64, n) // and of the deltas
 		terminated := false
 		for t := 0; !terminated; t++ {
 			ctx.SUnit(func() {
 				ctx.IntOps(1) // while condition
 				ctx.SRound(func() {
-					// read x (n serialized shared reads)
-					xv := cur.ReadRange(ctx, 0, n)
+					// read x (n shared reads in one access)
+					cur.ReadRange(ctx, 0, xv)
 					var s float64
 					for j := 0; j < n; j++ {
 						if j != i {
@@ -97,7 +99,8 @@ func RunShared(sys *core.System, cfg SharedConfig) (Result, error) {
 					// process writes deltas, so this read-out is
 					// identical at every process.
 					conv := true
-					for _, d := range deltas.ReadRange(ctx, 0, n) {
+					deltas.ReadRange(ctx, 0, dv)
+					for _, d := range dv {
 						if d >= cfg.Tol {
 							conv = false
 						}

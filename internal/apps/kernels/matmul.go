@@ -44,7 +44,8 @@ func MatMul(sys *core.System, a, b [][]float64, p int) (MatMulResult, error) {
 
 	round := func(ctx *core.Ctx) {
 		lo := ctx.Index() * rows
-		bl := bShared.ReadRange(ctx, 0, n*n) // read B once
+		bl := make([]float64, n*n)
+		bShared.ReadRange(ctx, 0, bl) // read B once
 		for i := lo; i < lo+rows; i++ {
 			for j := 0; j < n; j++ {
 				s := 0.0

@@ -4,14 +4,6 @@ package cost
 // of the distributed all-pairs-shortest-paths process reads the whole
 // n×n shared vector, performs the min-plus row update, and writes back
 // its row — shared-memory communication in the async_comm mode.
-//
-// Mapping note: §3.1's T_S-round charges the access latency ℓ once per
-// round (a pipelined upper bound) plus g per access. The simulated
-// memory system is unpipelined — every access pays its own ℓ — so for
-// honest prediction the effective bandwidth factor must fold the
-// latency in: g_eff = ℓ_e + g_sh_e. Both forms are provided; the
-// experiments use the effective one and record the mapping in
-// EXPERIMENTS.md.
 type APSP struct {
 	V int // vertices = processes
 
@@ -36,18 +28,11 @@ func (a APSP) WritesUpper() float64 { return float64(a.V) }
 // and n² comparisons.
 func (a APSP) LocalOps() float64 { return 2 * float64(a.V) * float64(a.V) }
 
-// TSRoundPaper evaluates the §3.1 formula literally (ℓ_e charged once):
+// TSRoundPaper evaluates the §3.1 formula (ℓ_e charged once per round):
 //
 //	T = c + κ + ℓ_e + g_sh_e·(d_r + d_w)
 func (a APSP) TSRoundPaper() float64 {
 	return a.LocalOps() + a.Kappa + a.EllE + a.GShE*(a.Reads()+a.WritesUpper())
-}
-
-// TSRoundEffective evaluates the same formula with the unpipelined
-// mapping g_eff = ℓ_e + g_sh_e, which matches a memory system that
-// charges latency per access.
-func (a APSP) TSRoundEffective() float64 {
-	return a.LocalOps() + a.Kappa + (a.EllE+a.GShE)*(a.Reads()+a.WritesUpper())
 }
 
 // ESRoundUpper returns the per-round energy upper bound:

@@ -4,6 +4,10 @@
 // groups, with the Knuth–Iverson bracket conditions, plus the paper's
 // §4 Jacobi derivation chain. It is pure arithmetic — no simulation —
 // so simulator measurements can be validated against it mechanically.
+// The simulated shared memory charges an access as T_S-round charges
+// shared-memory traffic (queue wait and ℓ once, g per word), so the
+// formulas cost simulated shared-memory rounds as written, with the
+// measured queue wait as κ.
 package cost
 
 import (

@@ -289,10 +289,6 @@ func TestAPSPCountsAndFormulas(t *testing.T) {
 	if got := a.TSRoundPaper(); !approx(got, 424) {
 		t.Fatalf("paper T = %g, want 424", got)
 	}
-	// effective: 200 + 0 + 6·110 = 860
-	if got := a.TSRoundEffective(); !approx(got, 860) {
-		t.Fatalf("effective T = %g, want 860", got)
-	}
 	// energy: 200·1 + 100·2 + 10·2 = 420
 	if got := a.ESRoundUpper(); !approx(got, 420) {
 		t.Fatalf("E = %g, want 420", got)
@@ -318,18 +314,6 @@ func TestAPSPMatchesGenericModel(t *testing.T) {
 		}
 		if got, want := r.E(m), a.ESRoundUpper(); !approx(got, want) {
 			t.Fatalf("v=%d: generic E %g != specialized %g", v, got, want)
-		}
-	}
-}
-
-func TestAPSPEffectiveDominatesPaper(t *testing.T) {
-	// The unpipelined mapping charges strictly more whenever ℓ_e > 0
-	// and there is more than one access.
-	for v := 2; v <= 32; v *= 2 {
-		a := apspModel(v)
-		if a.TSRoundEffective() <= a.TSRoundPaper() {
-			t.Fatalf("v=%d: effective %g not above paper %g", v,
-				a.TSRoundEffective(), a.TSRoundPaper())
 		}
 	}
 }

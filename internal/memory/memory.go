@@ -4,7 +4,10 @@
 // parameters. Its queuing discipline follows the QSM heritage the paper
 // cites: concurrent accesses to one location are serviced sequentially,
 // and the time spent queued is recorded as the measured counterpart of
-// the model's κ term.
+// the model's κ term. One access covers a range of words and is
+// charged as §3.1 charges a shared-memory S-round: the queue wait and
+// the latency once, the bandwidth once per word. A single-word Read,
+// Write or FetchAdd is the one-word range.
 package memory
 
 import (
@@ -91,7 +94,8 @@ func (k AccessKind) String() string {
 // regions marked AllowRaces are never reported.
 type Probe interface {
 	// Access fires after the serialization/latency/bandwidth charges of
-	// one access to word i of the identified region, performed by p.
+	// an access by p, once for each word i of the identified region it
+	// covered, all at the access's completion instant.
 	Access(region string, regionID, i int, p *sim.Proc, kind AccessKind)
 }
 
@@ -142,8 +146,10 @@ type RegionStats struct {
 	Words         int
 	Scope         Scope
 	Reads, Writes int64
-	// Stalled counts accesses that found their location busy; StallTicks
-	// is the total time those accesses queued (the measured κ input).
+	// Stalled counts the words whose location was busy when an access
+	// reserved it; StallTicks is the total time accesses queued (the
+	// measured κ input), each access holding its longest word wait
+	// once.
 	Stalled    int64
 	StallTicks sim.Time
 	// MaxQueueDepth is the deepest per-location service queue observed,
@@ -319,31 +325,43 @@ func (r *Region[T]) AllowRaces(reason string) *Region[T] {
 // justification.
 func (r *Region[T]) RacesAllowed() (bool, string) { return r.racyOK, r.racyWhy }
 
-// access performs the common serialization + latency + bandwidth
-// charging and returns whether the access was intra-processor.
-func (r *Region[T]) access(a Agent, i int, kind AccessKind) bool {
-	if i < 0 || i >= len(r.vals) {
-		panic(fmt.Sprintf("memory: %s index %d out of range [0,%d)", r.name, i, len(r.vals)))
+// access charges one access to words [lo, hi), the way §3.1 charges
+// a shared-memory S-round: κ + ℓ + g·(words). At the current instant
+// it reserves every word's next service slot, so concurrent accessors
+// of a word still serialize strictly (per-word κ queueing). It then
+// holds the longest of those waits once, holds the latency ℓ once and
+// charges the bandwidth g per word through one ChargeCost. At the
+// completion instant it reports every word to the probe and counts
+// the words as reads, writes or both (atomic), by kind; the caller
+// reads or writes the values at that same instant. An empty range
+// charges nothing.
+func (r *Region[T]) access(a Agent, lo, hi int, kind AccessKind) {
+	if lo < 0 || hi > len(r.vals) {
+		panic(fmt.Sprintf("memory: %s range [%d,%d) out of range [0,%d)", r.name, lo, hi, len(r.vals)))
+	}
+	if lo == hi {
+		return
 	}
 	p := a.Proc()
 	now := p.Now()
-	// Queued (serialized) access: reserve the next service slot
-	// atomically (before yielding), then wait for it. Same-instant
-	// accessors thus serialize strictly instead of double-booking.
-	start := r.nextFree[i]
-	if start < now {
-		start = now
-	}
-	r.nextFree[i] = start + r.mem.ServiceTime
-	if wait := start - now; wait > 0 {
-		a.Counters().QueueWait += wait
-		r.stalled++
-		r.stallT += wait
-		if st := r.mem.ServiceTime; st > 0 {
-			if depth := int64((wait + st - 1) / st); depth > r.maxDepth {
-				r.maxDepth = depth
+	// Reserve every word's slot before yielding, so same-instant
+	// accessors serialize instead of double-booking.
+	st := r.mem.ServiceTime
+	var wait sim.Time
+	for i := lo; i < hi; i++ {
+		start := max(r.nextFree[i], now)
+		r.nextFree[i] = start + st
+		if w := start - now; w > 0 {
+			r.stalled++
+			if st > 0 {
+				r.maxDepth = max(r.maxDepth, int64((w+st-1)/st))
 			}
+			wait = max(wait, w)
 		}
+	}
+	if wait > 0 {
+		a.Counters().QueueWait += wait
+		r.stallT += wait
 		p.Hold(wait)
 	}
 
@@ -360,35 +378,42 @@ func (r *Region[T]) access(a Agent, i int, kind AccessKind) bool {
 	// materializes (fractional residue carries to the next g charge
 	// instead of leaking into an unrelated category).
 	a.Profile().Charge(obs.CatMemWait, p.Now()-now)
-	a.ChargeCost(obs.CatMemWait, g)
+	a.ChargeCost(obs.CatMemWait, g*float64(hi-lo))
 	if pr := r.mem.probe; pr != nil && !r.racyOK {
-		pr.Access(r.name, r.id, i, p, kind)
+		for i := lo; i < hi; i++ {
+			pr.Access(r.name, r.id, i, p, kind)
+		}
 	}
-	return intra
+
+	n, ops := int64(hi-lo), a.Counters()
+	if kind != AccessWrite {
+		r.reads += n
+		if intra {
+			ops.ReadsIntra += n
+		} else {
+			ops.ReadsInter += n
+		}
+	}
+	if kind != AccessRead {
+		r.writes += n
+		if intra {
+			ops.WritesIntra += n
+		} else {
+			ops.WritesInter += n
+		}
+	}
 }
 
 // Read performs a serialized shared read and returns the value observed
 // at completion time.
 func (r *Region[T]) Read(a Agent, i int) T {
-	intra := r.access(a, i, AccessRead)
-	if intra {
-		a.Counters().ReadsIntra++
-	} else {
-		a.Counters().ReadsInter++
-	}
-	r.reads++
+	r.access(a, i, i+1, AccessRead)
 	return r.vals[i]
 }
 
 // Write performs a serialized shared write.
 func (r *Region[T]) Write(a Agent, i int, v T) {
-	intra := r.access(a, i, AccessWrite)
-	if intra {
-		a.Counters().WritesIntra++
-	} else {
-		a.Counters().WritesInter++
-	}
-	r.writes++
+	r.access(a, i, i+1, AccessWrite)
 	r.vals[i] = v
 }
 
@@ -398,36 +423,23 @@ func (r *Region[T]) Write(a Agent, i int, v T) {
 // updates — the hardware atomic the async_exec examples (shared
 // counters, termination detectors) want.
 func FetchAdd[T int64 | int32 | int](r *Region[T], a Agent, i int, delta T) T {
-	intra := r.access(a, i, AccessAtomic)
-	if intra {
-		a.Counters().ReadsIntra++
-		a.Counters().WritesIntra++
-	} else {
-		a.Counters().ReadsInter++
-		a.Counters().WritesInter++
-	}
-	r.reads++
-	r.writes++
+	r.access(a, i, i+1, AccessAtomic)
 	old := r.vals[i]
 	r.vals[i] = old + delta
 	return old
 }
 
-// ReadRange reads words [lo, hi) one serialized access at a time and
-// returns a copy.
-func (r *Region[T]) ReadRange(a Agent, lo, hi int) []T {
-	out := make([]T, 0, hi-lo)
-	for i := lo; i < hi; i++ {
-		out = append(out, r.Read(a, i))
-	}
-	return out
+// ReadRange reads words [lo, lo+len(dst)) in one access and copies
+// the values they hold at completion into dst.
+func (r *Region[T]) ReadRange(a Agent, lo int, dst []T) {
+	r.access(a, lo, lo+len(dst), AccessRead)
+	copy(dst, r.vals[lo:])
 }
 
-// WriteRange writes vals starting at lo, one serialized access per word.
+// WriteRange writes vals to words [lo, lo+len(vals)) in one access.
 func (r *Region[T]) WriteRange(a Agent, lo int, vals []T) {
-	for i, v := range vals {
-		r.Write(a, lo+i, v)
-	}
+	r.access(a, lo, lo+len(vals), AccessWrite)
+	copy(r.vals[lo:], vals)
 }
 
 // Peek returns a word without simulation cost. For initialization,

@@ -1,6 +1,8 @@
 package memory
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/agenttest"
@@ -147,7 +149,8 @@ func TestRangeOps(t *testing.T) {
 	k.Spawn("p", func(p *sim.Proc) {
 		a := agenttest.New(p, 0)
 		r.WriteRange(a, 1, []int64{10, 20, 30})
-		got := r.ReadRange(a, 0, 6)
+		got := make([]int64, 6)
+		r.ReadRange(a, 0, got)
 		want := []int64{0, 10, 20, 30, 0, 0}
 		for i := range want {
 			if got[i] != want[i] {
@@ -287,5 +290,170 @@ func TestFetchAddReturnsPrevious(t *testing.T) {
 	}
 	if r.Peek(0) != 12 {
 		t.Fatalf("final %d, want 12", r.Peek(0))
+	}
+}
+
+// A range access is charged as §3.1 charges a shared-memory S-round:
+// ℓ once and g per word. On an idle region a lone reader of n words
+// takes exactly ℓ_e + g_sh_e·n and queues for nothing.
+func TestRangeChargesLatencyOnce(t *testing.T) {
+	cfg := machine.Niagara() // EllE=4, GShE=2
+	k, _, mem := rig(cfg)
+	const n = 16
+	r := NewRegion[int64](mem, "v", Inter, 0, n)
+	var took sim.Time
+	var a *agenttest.Agent
+	k.Spawn("p", func(p *sim.Proc) {
+		a = agenttest.New(p, 0)
+		buf := make([]int64, n)
+		start := p.Now()
+		r.ReadRange(a, 0, buf)
+		took = p.Now() - start
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	c := cfg.Costs
+	if want := c.EllE + sim.Time(c.GShE*n); took != want {
+		t.Errorf("range of %d words took %d ticks, want ℓ_e + g_sh_e·n = %d", n, took, want)
+	}
+	if a.C.ReadsInter != n || a.C.QueueWait != 0 {
+		t.Errorf("reads=%d queue wait=%d, want %d and 0", a.C.ReadsInter, a.C.QueueWait, n)
+	}
+}
+
+// Same-instant ranges over the same words still serialize word by
+// word: the k-th arrival finds every word k slots deep and holds that
+// wait once, not once per word.
+func TestRangeQueuesEachWordOnce(t *testing.T) {
+	cfg := machine.Niagara()
+	k, _, mem := rig(cfg)
+	const n, procs = 8, 4
+	r := NewRegion[int64](mem, "hot", Inter, 0, n)
+	waits := make([]sim.Time, procs)
+	done := make([]sim.Time, procs)
+	for i := 0; i < procs; i++ {
+		k.Spawn("p", func(p *sim.Proc) {
+			a := agenttest.New(p, 0)
+			r.ReadRange(a, 0, make([]int64, n))
+			waits[i], done[i] = a.C.QueueWait, p.Now()
+		})
+	}
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	c, st := cfg.Costs, mem.ServiceTime
+	var sum sim.Time
+	for i := range waits {
+		kst := sim.Time(i) * st
+		if waits[i] != kst {
+			t.Errorf("process %d queue wait %d, want %d", i, waits[i], kst)
+		}
+		if want := kst + c.EllE + sim.Time(c.GShE*n); done[i] != want {
+			t.Errorf("process %d done at %d, want %d", i, done[i], want)
+		}
+		sum += kst
+	}
+	rs := mem.RegionStats()[0]
+	if rs.StallTicks != sum || rs.Stalled != n*(procs-1) || rs.MaxQueueDepth != procs-1 {
+		t.Errorf("stall ticks=%d stalled=%d depth=%d, want %d, %d, %d",
+			rs.StallTicks, rs.Stalled, rs.MaxQueueDepth, sum, n*(procs-1), procs-1)
+	}
+}
+
+type probeRec struct {
+	i    int
+	kind AccessKind
+	at   sim.Time
+}
+
+type recProbe struct{ got []probeRec }
+
+func (pr *recProbe) Access(_ string, _, i int, p *sim.Proc, kind AccessKind) {
+	pr.got = append(pr.got, probeRec{i, kind, p.Now()})
+}
+
+// The probe sees every word of a range once, with the access's kind,
+// at the instant the access completes.
+func TestRangeProbeSeesEachWordAtCompletion(t *testing.T) {
+	k, _, mem := rig(machine.Niagara())
+	pr := &recProbe{}
+	mem.SetProbe(pr)
+	r := NewRegion[int64](mem, "v", Inter, 0, 8)
+	var wrote, read sim.Time
+	k.Spawn("p", func(p *sim.Proc) {
+		a := agenttest.New(p, 0)
+		r.WriteRange(a, 2, []int64{1, 2, 3})
+		wrote = p.Now()
+		r.ReadRange(a, 0, make([]int64, 4))
+		read = p.Now()
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	var want []probeRec
+	for i := 2; i < 5; i++ {
+		want = append(want, probeRec{i, AccessWrite, wrote})
+	}
+	for i := 0; i < 4; i++ {
+		want = append(want, probeRec{i, AccessRead, read})
+	}
+	if len(pr.got) != len(want) {
+		t.Fatalf("probe saw %v, want %v", pr.got, want)
+	}
+	for j := range want {
+		if pr.got[j] != want[j] {
+			t.Errorf("probe call %d = %+v, want %+v", j, pr.got[j], want[j])
+		}
+	}
+}
+
+// An empty range charges and counts nothing; a range past the end
+// panics with the region's name before it reserves any slot.
+func TestRangeEdges(t *testing.T) {
+	k, _, mem := rig(machine.Niagara())
+	r := NewRegion[int64](mem, "short", Inter, 0, 4)
+	var msg string
+	k.Spawn("p", func(p *sim.Proc) {
+		a := agenttest.New(p, 0)
+		r.ReadRange(a, 4, nil)
+		r.WriteRange(a, 0, nil)
+		if p.Now() != 0 || a.C.Reads() != 0 || a.C.Writes() != 0 {
+			t.Errorf("empty ranges: now=%d reads=%d writes=%d", p.Now(), a.C.Reads(), a.C.Writes())
+		}
+		func() {
+			defer func() { msg = fmt.Sprint(recover()) }()
+			r.ReadRange(a, 2, make([]int64, 3))
+		}()
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(msg, "short") {
+		t.Errorf("past-the-end range: panic %q does not name the region", msg)
+	}
+	for i, nf := range r.nextFree {
+		if nf != 0 {
+			t.Errorf("word %d reserved until %d by a rejected range", i, nf)
+		}
+	}
+}
+
+// A range read fills the caller's buffer: it allocates nothing.
+func TestReadRangeAllocationFree(t *testing.T) {
+	k, _, mem := rig(machine.Niagara())
+	r := NewRegion[int64](mem, "v", Inter, 0, 64)
+	var allocs float64
+	k.Spawn("p", func(p *sim.Proc) {
+		a := agenttest.New(p, 0)
+		buf := make([]int64, 64)
+		r.ReadRange(a, 0, buf) // warm up the kernel's event buffer
+		allocs = testing.AllocsPerRun(100, func() { r.ReadRange(a, 0, buf) })
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Fatalf("ReadRange allocates %.2f/run, want 0", allocs)
 	}
 }

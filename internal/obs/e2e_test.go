@@ -113,7 +113,7 @@ func TestAPSPDriftWithinBounds(t *testing.T) {
 	if !ok {
 		t.Fatal("apsp run recorded no rounds")
 	}
-	d := obs.RecordDrift(reg, "apsp", "T_sround", model.TSRoundEffective(), measT)
+	d := obs.RecordDrift(reg, "apsp", "T_sround", model.TSRoundPaper(), measT)
 	if d.RelErr() >= 0.3 {
 		t.Fatalf("APSP T drift %.2f ≥ 0.3 (pred %.0f meas %.0f)", d.RelErr(), d.Predicted, d.Measured)
 	}

@@ -18,7 +18,7 @@ const (
 	// CatCompute is local computation (FpOps/IntOps charging).
 	CatCompute Category = iota
 	// CatMemWait is serialized shared-memory access: κ queueing stalls
-	// plus the per-access latency (ℓ) and bandwidth (g) charges,
+	// plus the per-access latency (ℓ) and per-word bandwidth (g) charges,
 	// including transactional reads/writes of committed attempts.
 	CatMemWait
 	// CatMsgWait is message-passing latency: blocked receives,

@@ -290,7 +290,7 @@ func runAPSP(spec Spec, sys *core.System, ob *obs.Observer, res *Result) *core.G
 	// Round-time drift against the cost model with the measured κ
 	// (queue wait) substituted, as in the §4 analysis.
 	if model, mt, me, ok := apsp.Model(r.Group); ok {
-		recordDrift(ob, res, "apsp", "T_sround", model.TSRoundEffective(), mt)
+		recordDrift(ob, res, "apsp", "T_sround", model.TSRoundPaper(), mt)
 		recordDrift(ob, res, "apsp", "E_sround_upper", model.ESRoundUpper(), me)
 	}
 	return r.Group
